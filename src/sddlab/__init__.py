@@ -21,18 +21,17 @@ from .experiments import (ExperimentConfig, ExperimentResult, emit,
                           run_lipschitz_sampling)
 from .history import (HistorySegment, constant_history, history_from_rows,
                       negative_part, norm_C, norm_L1L1, positive_part, push,
-                      theta_weights, to_csv_block)
-from .kernel import (KernelSpec, KernelVariant, eval_xi, kernel_from_config,
-                     kernel_to_config, l11_constant, make_constant_kernel)
+                      theta_weights)
+from .kernel import (KernelSpec, KernelVariant, eval_xi, l11_constant,
+                     make_constant_kernel)
 from .nonlinear import (NonlinearitySpec, b_eval, b_prime, bounded_custom,
-                        certification_argmaxes, certified, certify_constants,
-                        delay_term, nicholson)
-from .solver import (ProblemSpec, TrajectoryRecord, dissipativity_probe,
-                     evolve, step, steps_for_horizon)
+                        certified, certify_constants, delay_term, nicholson)
+from .solver import (ProblemSpec, TrajectoryRecord, evolve, step,
+                     steps_for_horizon)
 from .spectral import (GridField, ModeVector, OperatorSpec,
                        analytic_eigenvalues, discrete_eigenvalues,
-                       eigenfunction, eigenvalues, field_l2_norm, forward,
-                       hat_project, inverse, project_PN)
+                       eigenfunction, field_l2_norm, forward, hat_project,
+                       inverse)
 
 __version__ = "0.1.0"
 
@@ -43,16 +42,14 @@ __all__ = [
     "KernelVariant", "ModeVector", "NonlinearitySpec", "OperatorSpec",
     "ProblemSpec", "SynthesisResult", "TrajectoryRecord",
     "analytic_eigenvalues", "b_eval", "b_prime", "bound3_check",
-    "bounded_custom", "certification_argmaxes", "certified",
-    "certify_constants", "condition_report",
-    "constant_history", "delay_term", "discrete_eigenvalues",
-    "dissipativity_probe", "eigenfunction", "eigenvalues", "emit", "eval_xi",
-    "evolve", "field_l2_norm", "forward", "gap_check", "hat_project",
-    "history_from_rows", "inverse", "kernel_from_config", "kernel_to_config",
-    "l11_constant", "lipschitz_M1", "m1_constant", "make_constant_kernel",
+    "bounded_custom", "certified", "certify_constants", "condition_report",
+    "constant_history", "delay_term", "discrete_eigenvalues", "eigenfunction",
+    "emit", "eval_xi", "evolve", "field_l2_norm", "forward", "gap_check",
+    "hat_project", "history_from_rows", "inverse", "l11_constant",
+    "lipschitz_M1", "m1_constant", "make_constant_kernel",
     "make_initial_history", "negative_part", "nicholson", "norm_C",
-    "norm_L1L1", "positive_part", "project_PN", "push", "remark_caps",
+    "norm_L1L1", "positive_part", "push", "remark_caps",
     "run_attraction_rate", "run_coincidence", "run_cone_invariance",
     "run_lipschitz_sampling", "step", "steps_for_horizon", "synthesize_params",
-    "theta_weights", "to_csv_block",
+    "theta_weights",
 ]

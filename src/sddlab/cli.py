@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,217 +28,170 @@ from .experiments import (FAMILIES, ExperimentConfig, emit, make_initial_history
 from .kernel import KernelSpec, KernelVariant, make_constant_kernel
 from .nonlinear import certified, nicholson
 from .solver import ProblemSpec, evolve, steps_for_horizon
-from .spectral import EIGENVALUE_MODES, OperatorSpec
+from .spectral import OperatorSpec
 
-_MISSING = object()
+_REQUIRED = object()
 
-_TOP_KEYS = ("operator", "kernel", "nonlinearity", "variant", "conditions",
-             "simulation", "experiment")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# section -> key -> (JSON type, default or _REQUIRED, bound).  A default of
+# None makes the key nullable.  Bounds are (op, limit) for numbers and
+# integers, the allowed values for strings.  An "object" row is read with the
+# rows of the section named by its dotted path.
+_SCHEMA = {
+    "operator": {
+        "domain_length": ("number", _REQUIRED, (">", 0)),
+        "modes": ("integer", _REQUIRED, (">=", 1)),
+        "grid_points": ("integer", _REQUIRED, (">=", 2)),
+    },
+    "kernel": {
+        "r": ("number", _REQUIRED, (">", 0)),
+        "m": ("integer", _REQUIRED, (">=", 1)),
+        "M_xi": ("number", _REQUIRED, (">", 0)),
+        "plus_integral": ("number", _REQUIRED, (">=", 0)),
+        "minus_integral": ("number", _REQUIRED, (">=", 0)),
+        "xi_plus": ("numbers", _REQUIRED, None),
+        "xi_minus": ("numbers", _REQUIRED, None),
+    },
+    "nonlinearity": {
+        "kind": ("string", _REQUIRED, ("nicholson",)),
+        "p": ("number", 1.0, (">", 0)),
+    },
+    "conditions": {
+        "N": ("integer", _REQUIRED, (">=", 1)),
+        "mu": ("number", None, (">", 0)),
+    },
+    "simulation": {
+        "horizon": ("number", _REQUIRED, (">", 0)),
+        "stride": ("integer", 10, (">=", 1)),
+        "record_modes": ("integer", None, (">=", 1)),
+        "initial": ("object", _REQUIRED, None),
+    },
+    "simulation.initial": {
+        "family": ("string", _REQUIRED, FAMILIES),
+        "amplitude": ("number", _REQUIRED, (">=", 0)),
+        "seed": ("integer", _REQUIRED, (">=", 0)),
+    },
+    "experiment": {
+        "trials": ("integer", _REQUIRED, (">=", 1)),
+        "seed": ("integer", _REQUIRED, (">=", 0)),
+        "horizon": ("number", _REQUIRED, (">", 0)),
+        "family": ("string", "random_positive_fourier", FAMILIES),
+        "amplitude": ("number", 1.0, (">=", 0)),
+        "stride": ("integer", 10, (">=", 1)),
+        "alpha_min": ("number", None, (">", 0)),
+        "N": ("integer", None, (">=", 1)),
+        "cone": ("string", "both", ("positive", "negative", "both")),
+    },
+}
+_SECTIONS = ("operator", "kernel", "nonlinearity", "conditions", "simulation",
+             "experiment")
+_INTEGRALS = ("plus_integral", "minus_integral")
+_PROFILES = ("xi_plus", "xi_minus")
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
+    # bool is not a number; the bound rejects nan, inf and huge integers
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _get(section: dict, sec_path: str, key: str, default=_MISSING):
-    if key in section:
-        return section[key]
-    if default is _MISSING:
-        raise ConfigError(f"{sec_path}.{key}", "missing required key")
-    return default
+_TYPES = {  # JSON type -> (test, what a value must be)
+    "number": (_is_real, "a finite number"),
+    "integer": (lambda v: type(v) is int, "an integer"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_is_real, v)),
+                "a list of numbers"),
+}
 
 
-def _check_unknown(section: dict, sec_path: str, allowed) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{sec_path}.{key}", "unknown key")
-
-
-def _require_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, "must be a JSON object")
-    return value
-
-
-def _real(section, sec_path, key, default=_MISSING, positive=False,
-          nonnegative=False, nullable=False):
-    val = _get(section, sec_path, key, default)
-    path = f"{sec_path}.{key}"
-    if val is None:
-        if nullable:
-            return None
-        raise ConfigError(path, "must be a number, not null")
-    if not _is_real(val):
-        raise ConfigError(path, "must be a finite number")
-    val = float(val)
-    if positive and not val > 0.0:
-        raise ConfigError(path, "must be > 0")
-    if nonnegative and not val >= 0.0:
-        raise ConfigError(path, "must be >= 0")
-    return val
-
-
-def _int(section, sec_path, key, default=_MISSING, minimum=None, nullable=False):
-    val = _get(section, sec_path, key, default)
-    path = f"{sec_path}.{key}"
-    if val is None:
-        if nullable:
-            return None
-        raise ConfigError(path, "must be an integer, not null")
-    if not _is_int(val):
-        raise ConfigError(path, "must be an integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(path, f"must be >= {minimum}")
-    return val
-
-
-def _choice(section, sec_path, key, choices, default=_MISSING):
-    val = _get(section, sec_path, key, default)
-    path = f"{sec_path}.{key}"
-    if not isinstance(val, str) or val not in choices:
-        raise ConfigError(path, f"must be one of {list(choices)}")
-    return val
-
-
-def _validate_operator(raw) -> dict:
-    sec = _require_dict(raw, "operator")
-    _check_unknown(sec, "operator",
-                   ("domain_length", "modes", "grid_points", "eigenvalue_mode"))
-    return {
-        "domain_length": _real(sec, "operator", "domain_length", positive=True),
-        "modes": _int(sec, "operator", "modes", minimum=1),
-        "grid_points": _int(sec, "operator", "grid_points", minimum=2),
-        "eigenvalue_mode": _choice(sec, "operator", "eigenvalue_mode",
-                                   EIGENVALUE_MODES, default="analytic"),
-    }
-
-
-def _validate_kernel(raw) -> dict:
-    sec = _require_dict(raw, "kernel")
-    _check_unknown(sec, "kernel", ("r", "m", "M_xi", "plus_integral",
-                                   "minus_integral", "xi_plus", "xi_minus"))
-    out = {
-        "r": _real(sec, "kernel", "r", positive=True),
-        "m": _int(sec, "kernel", "m", minimum=1),
-        "M_xi": _real(sec, "kernel", "M_xi", positive=True),
-    }
-    has_integrals = "plus_integral" in sec or "minus_integral" in sec
-    has_profiles = "xi_plus" in sec or "xi_minus" in sec
-    if has_integrals and has_profiles:
-        raise ConfigError("kernel", "give either integrals or profiles, not both")
-    if has_profiles:
-        for key in ("xi_plus", "xi_minus"):
-            val = _get(sec, "kernel", key)
-            if not (isinstance(val, list) and all(_is_real(x) for x in val)):
-                raise ConfigError(f"kernel.{key}", "must be a list of numbers")
-            out[key] = [float(x) for x in val]
+def _value(path: str, val, kind: str, bound):
+    """Check one given entry against its row; returns the normalized value."""
+    if kind == "object":
+        return _read(val, path)
+    if kind == "string":
+        test, what = (lambda v: v in bound), f"one of {list(bound)}"
     else:
-        out["plus_integral"] = _real(sec, "kernel", "plus_integral", nonnegative=True)
-        out["minus_integral"] = _real(sec, "kernel", "minus_integral", nonnegative=True)
+        test, what = _TYPES[kind]
+    if val is None:
+        raise ConfigError(path, f"must be {what}, not null")
+    if not test(val):
+        raise ConfigError(path, f"must be {what}")
+    if kind == "number":
+        val = float(val)
+    elif kind == "numbers":
+        val = [float(x) for x in val]
+    if kind in ("number", "integer"):
+        op, limit = bound
+        if not (val > limit if op == ">" else val >= limit):
+            raise ConfigError(path, f"must be {op} {limit}")
+    return val
+
+
+def _read(sec, path: str, skip=()) -> dict:
+    """Check one section against its _SCHEMA rows; defaults fill absent keys."""
+    if not isinstance(sec, dict):
+        raise ConfigError(path, "must be a JSON object")
+    rows = _SCHEMA[path]
+    for key in sec:
+        if key not in rows:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    out = {}
+    for key, (kind, default, bound) in rows.items():
+        if key in skip:
+            continue
+        if key not in sec:
+            if default is _REQUIRED:
+                raise ConfigError(f"{path}.{key}", "missing required key")
+            out[key] = default
+        elif sec[key] is None and default is None:
+            out[key] = None
+        else:
+            out[key] = _value(f"{path}.{key}", sec[key], kind, bound)
     return out
 
 
-def _validate_nonlinearity(raw) -> dict:
-    sec = _require_dict(raw, "nonlinearity")
-    _check_unknown(sec, "nonlinearity", ("kind", "p"))
-    kind = _get(sec, "nonlinearity", "kind")
-    if kind != "nicholson":
-        raise ConfigError("nonlinearity.kind",
-                          "only 'nicholson' is constructible from a config file "
-                          "(custom nonlinearities need a Python callable)")
-    return {"kind": kind, "p": _real(sec, "nonlinearity", "p", default=1.0,
-                                     positive=True)}
-
-
-def _validate_conditions(raw) -> dict:
-    sec = _require_dict(raw, "conditions")
-    _check_unknown(sec, "conditions", ("N", "mu"))
-    return {
-        "N": _int(sec, "conditions", "N", minimum=1),
-        "mu": _real(sec, "conditions", "mu", default=None, positive=True,
-                    nullable=True),
-    }
-
-
-def _validate_simulation(raw) -> dict:
-    sec = _require_dict(raw, "simulation")
-    _check_unknown(sec, "simulation", ("horizon", "stride", "record_modes",
-                                       "initial"))
-    initial = _require_dict(_get(sec, "simulation", "initial"),
-                            "simulation.initial")
-    _check_unknown(initial, "simulation.initial", ("family", "amplitude", "seed"))
-    return {
-        "horizon": _real(sec, "simulation", "horizon", positive=True),
-        "stride": _int(sec, "simulation", "stride", default=10, minimum=1),
-        "record_modes": _int(sec, "simulation", "record_modes", default=None,
-                             minimum=1, nullable=True),
-        "initial": {
-            "family": _choice(initial, "simulation.initial", "family", FAMILIES),
-            "amplitude": _real(initial, "simulation.initial", "amplitude",
-                               nonnegative=True),
-            "seed": _int(initial, "simulation.initial", "seed"),
-        },
-    }
-
-
-def _validate_experiment(raw) -> dict:
-    sec = _require_dict(raw, "experiment")
-    _check_unknown(sec, "experiment", ("trials", "seed", "horizon", "family",
-                                       "amplitude", "stride", "alpha_min",
-                                       "N", "cone"))
-    return {
-        "trials": _int(sec, "experiment", "trials", minimum=1),
-        "seed": _int(sec, "experiment", "seed"),
-        "horizon": _real(sec, "experiment", "horizon", positive=True),
-        "family": _choice(sec, "experiment", "family", FAMILIES,
-                          default="random_positive_fourier"),
-        "amplitude": _real(sec, "experiment", "amplitude", default=1.0,
-                           nonnegative=True),
-        "stride": _int(sec, "experiment", "stride", default=10, minimum=1),
-        "alpha_min": _real(sec, "experiment", "alpha_min", default=None,
-                           positive=True, nullable=True),
-        "N": _int(sec, "experiment", "N", default=None, minimum=1, nullable=True),
-        "cone": _choice(sec, "experiment", "cone",
-                        ("positive", "negative", "both"), default="both"),
-    }
-
-
 def validate_config(raw) -> dict:
-    """Check the whole document; returns a normalized copy with defaults."""
+    """Check the whole document; returns a copy with defaults, None for an
+    absent optional section."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     for key in raw:
-        if key not in _TOP_KEYS:
+        if key not in _SECTIONS and key != "variant":
             raise ConfigError(key, "unknown key")
     for key in ("operator", "kernel", "nonlinearity"):
         if key not in raw:
             raise ConfigError(key, "missing required section")
-    out = {
-        "operator": _validate_operator(raw["operator"]),
-        "kernel": _validate_kernel(raw["kernel"]),
-        "nonlinearity": _validate_nonlinearity(raw["nonlinearity"]),
-    }
-    if "variant" in raw:
-        if not isinstance(raw["variant"], str) or raw["variant"] not in ("full", "p", "n"):
-            raise ConfigError("variant", "must be one of ['full', 'p', 'n']")
-        out["variant"] = raw["variant"]
-    else:
-        out["variant"] = "full"
-    out["conditions"] = _validate_conditions(raw["conditions"]) \
-        if "conditions" in raw else None
-    out["simulation"] = _validate_simulation(raw["simulation"]) \
-        if "simulation" in raw else None
-    out["experiment"] = _validate_experiment(raw["experiment"]) \
-        if "experiment" in raw else None
+    kernel = raw["kernel"]
+    profiles = isinstance(kernel, dict) and any(k in kernel for k in _PROFILES)
+    if profiles and any(k in kernel for k in _INTEGRALS):
+        raise ConfigError("kernel", "give either integrals or profiles, not both")
+    nl = raw["nonlinearity"]
+    if isinstance(nl, dict) and "kind" in nl and nl["kind"] != "nicholson":
+        raise ConfigError("nonlinearity.kind",
+                          "only 'nicholson' is constructible from a config file "
+                          "(custom nonlinearities need a Python callable)")
+    variant = raw.get("variant", "full")
+    if variant not in ("full", "p", "n"):
+        raise ConfigError("variant", "must be one of ['full', 'p', 'n']")
+    out = {key: _read(raw[key], key) if key in raw else None
+           for key in _SECTIONS if key != "kernel"}
+    out["kernel"] = _read(kernel, "kernel",
+                          skip=_INTEGRALS if profiles else _PROFILES)
+    out["variant"] = variant
     return out
 
 
-def load_config(path: str) -> dict:
+def _override(doc: dict, flags: dict) -> None:
+    """Set the flag values that were given, inside sections the document has."""
+    for key, val in flags.items():
+        if isinstance(val, dict):
+            if isinstance(doc.get(key), dict):
+                _override(doc[key], val)
+        elif val is not None:
+            doc[key] = val
+
+
+def load_config(path: str, overrides: dict | None = None) -> dict:
+    """Read and validate a config file.  ``overrides`` maps section -> key ->
+    flag value (None: flag not given); flag values pass the same checks as
+    file values."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -245,10 +199,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(path, f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"not valid JSON: {exc}") from None
+    if overrides and isinstance(raw, dict):
+        _override(raw, overrides)
     return validate_config(raw)
 
 
-def build_problem(cfg: dict, steps: int = 0) -> ProblemSpec:
+def build_problem(cfg: dict) -> ProblemSpec:
     op = OperatorSpec(**cfg["operator"])
     kc = cfg["kernel"]
     if "xi_plus" in kc:
@@ -260,13 +216,11 @@ def build_problem(cfg: dict, steps: int = 0) -> ProblemSpec:
                                   kc["minus_integral"], kc["M_xi"])
     nl = certified(nicholson(cfg["nonlinearity"]["p"]))
     return ProblemSpec(operator=op, kernel=ks, nonlinearity=nl,
-                       variant=KernelVariant(cfg["variant"]), steps=steps)
+                       variant=KernelVariant(cfg["variant"]))
 
 
 def _default_outdir(flag_value) -> str:
-    if flag_value:
-        return flag_value
-    return os.environ.get("SDDLAB_OUTDIR", ".")
+    return flag_value or os.environ.get("SDDLAB_OUTDIR", ".")
 
 
 def _write_or_print(text: str, output) -> None:
@@ -277,13 +231,12 @@ def _write_or_print(text: str, output) -> None:
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, {"conditions": {"N": args.N, "mu": args.mu}})
     if cfg["conditions"] is None:
         raise ConfigError("conditions", "missing required section for check")
     problem = build_problem(cfg)
-    N = args.N if args.N is not None else cfg["conditions"]["N"]
-    mu = args.mu if args.mu is not None else cfg["conditions"]["mu"]
-    report = condition_report(problem, N, mu)
+    report = condition_report(problem, cfg["conditions"]["N"],
+                              cfg["conditions"]["mu"])
     if args.format == "csv":
         text = "\n".join(f"{key},{val}" for key, val in report.csv_rows()) + "\n"
     else:
@@ -329,35 +282,27 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, {"simulation": {
+        "horizon": args.horizon, "stride": args.stride,
+        "initial": {"seed": args.seed}}})
     if cfg["simulation"] is None:
         raise ConfigError("simulation", "missing required section for simulate")
     sim = cfg["simulation"]
-    horizon = args.horizon if args.horizon is not None else sim["horizon"]
     problem = build_problem(cfg)
-    steps = steps_for_horizon(problem.kernel, horizon)
-    problem = ProblemSpec(operator=problem.operator, kernel=problem.kernel,
-                          nonlinearity=problem.nonlinearity,
-                          variant=problem.variant, steps=steps)
+    problem = replace(problem,
+                      steps=steps_for_horizon(problem.kernel, sim["horizon"]))
     init = sim["initial"]
-    seed = args.seed if args.seed is not None else init["seed"]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(init["seed"])
     phi = make_initial_history(problem.operator, problem.r, problem.m,
                                init["family"], init["amplitude"], rng)
-    stride = args.stride if args.stride is not None else sim["stride"]
-    rec = evolve(problem, phi, stride=stride, record_modes=sim["record_modes"])
+    rec = evolve(problem, phi, stride=sim["stride"],
+                 record_modes=sim["record_modes"])
     output = args.output or os.path.join(_default_outdir(None), "trajectory.csv")
     if args.format == "json":
-        payload = {
-            "times": [float(t) for t in rec.times],
-            "low_modes": [[float(c) for c in row] for row in rec.low_modes],
-            "high_norm": [float(x) for x in rec.high_norm],
-            "full_norm": [float(x) for x in rec.full_norm],
-            "min_value": [float(x) for x in rec.min_value],
-            "min_overall": rec.min_overall,
-            "max_overall": rec.max_overall,
-            "stride": rec.stride,
-        }
+        payload = {key: getattr(rec, key).tolist() for key in
+                   ("times", "low_modes", "high_norm", "full_norm", "min_value")}
+        payload.update(min_overall=rec.min_overall,
+                       max_overall=rec.max_overall, stride=rec.stride)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = rec.to_csv_text()
@@ -367,45 +312,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-EXPERIMENT_NAMES = ("cone-invariance", "coincidence", "lipschitz", "attraction")
-
-
 def cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, {"experiment": {
+        "trials": args.trials, "seed": args.seed, "horizon": args.horizon}})
     if cfg["experiment"] is None:
         raise ConfigError("experiment", "missing required section for experiment")
     e = dict(cfg["experiment"])
-    if args.trials is not None:
-        e["trials"] = args.trials
-    if args.seed is not None:
-        e["seed"] = args.seed
-    if args.horizon is not None:
-        e["horizon"] = args.horizon
-    ecfg = ExperimentConfig(trials=e["trials"], seed=e["seed"],
-                            horizon=e["horizon"], family=e["family"],
-                            amplitude=e["amplitude"], stride=e["stride"],
-                            alpha_min=e["alpha_min"])
+    cone, N = e.pop("cone"), e.pop("N")
+    ecfg = ExperimentConfig(**e)
     problem = build_problem(cfg)
-    cones = ("positive", "negative") if e["cone"] == "both" else (e["cone"],)
-    results = []
+    cones = ("positive", "negative") if cone == "both" else (cone,)
     if args.name == "cone-invariance":
-        for cone in cones:
-            results.append(run_cone_invariance(problem, ecfg, cone=cone,
-                                               jobs=args.jobs))
+        results = [run_cone_invariance(problem, ecfg, cone=c) for c in cones]
     elif args.name == "coincidence":
-        for cone in cones:
-            results.append(run_coincidence(problem, ecfg, cone=cone,
-                                           jobs=args.jobs))
+        results = [run_coincidence(problem, ecfg, cone=c) for c in cones]
     elif args.name == "lipschitz":
-        results.append(run_lipschitz_sampling(problem, ecfg, jobs=args.jobs))
+        results = [run_lipschitz_sampling(problem, ecfg)]
     else:  # attraction
-        N = e["N"]
         if N is None and cfg["conditions"] is not None:
             N = cfg["conditions"]["N"]
         if N is None:
             raise ConfigError("experiment.N",
                               "attraction needs N (or a conditions section)")
-        results.append(run_attraction_rate(problem, ecfg, N, jobs=args.jobs))
+        results = [run_attraction_rate(problem, ecfg, N)]
     out_dir = _default_outdir(args.output_dir)
     paths = emit(results, out_dir, format=args.format)
     for res in results:
@@ -434,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 0 even when the verdict is neither_certified")
     p.add_argument("--output", default=None, help="also write the report here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synthesize", help="search for certifiable parameters")
@@ -450,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mxi-points", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("simulate", help="run one trajectory and write it out")
@@ -460,18 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a verification experiment")
-    p.add_argument("name", choices=EXPERIMENT_NAMES)
+    p.add_argument("name", choices=("cone-invariance", "coincidence",
+                                    "lipschitz", "attraction"))
     p.add_argument("config")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_experiment)
 
     return parser

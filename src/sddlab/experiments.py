@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -54,8 +53,9 @@ class ExperimentConfig:
         if not (isinstance(self.trials, int) and not isinstance(self.trials, bool)
                 and self.trials >= 1):
             raise ContractViolation("trials must be an int >= 1")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)):
-            raise ContractViolation("seed must be an int")
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ContractViolation("seed must be an int >= 0")
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
             raise ContractViolation("horizon must be finite and > 0")
         if self.family not in FAMILIES:
@@ -89,14 +89,6 @@ class ExperimentResult:
         out = self.summary_dict()
         out["trials"] = self.trials
         return out
-
-
-def _map_trials(fn, n: int, jobs: int) -> list:
-    """Run fn over trial indices; results ordered by index regardless of jobs."""
-    if jobs <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, range(n)))
 
 
 def _fourier_field(op: OperatorSpec, rng: np.random.Generator,
@@ -147,7 +139,7 @@ def _grid_l2(op: OperatorSpec, values: np.ndarray) -> float:
 
 
 def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
-                        cone: str = "positive", jobs: int = 1) -> ExperimentResult:
+                        cone: str = "positive") -> ExperimentResult:
     """Evolve cone members and record the worst signed excursion per trial."""
     if cone not in ("positive", "negative"):
         raise ContractViolation("cone must be 'positive' or 'negative'")
@@ -171,7 +163,7 @@ def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
         return {"trial": i, "extreme": extreme, "violation": violation,
                 "passed": violation <= CONE_TOL}
 
-    rows = _map_trials(trial, cfg.trials, jobs)
+    rows = [trial(i) for i in range(cfg.trials)]
     max_violation = max(row["violation"] for row in rows)
     passed = all(row["passed"] for row in rows)
     summary = {
@@ -199,8 +191,8 @@ def _negate_node(phi: HistorySegment, amplitude: float) -> HistorySegment:
 
 
 def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
-                    cone: str = "positive", include_witness: bool = True,
-                    jobs: int = 1) -> ExperimentResult:
+                    cone: str = "positive",
+                    include_witness: bool = True) -> ExperimentResult:
     """Variant full vs the one-sided variant on cone data; distance must be
     exactly zero (both runs take bitwise-identical evaluation paths)."""
     if cone not in ("positive", "negative"):
@@ -229,7 +221,7 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
         return {"trial": i, "distance": dist, "informational": False,
                 "passed": dist == 0.0}
 
-    rows = _map_trials(trial, cfg.trials, jobs)
+    rows = [trial(i) for i in range(cfg.trials)]
     witness_distance = None
     if include_witness and cone == "positive":
         rng = np.random.default_rng(cfg.seed + cfg.trials)
@@ -260,8 +252,8 @@ def _trapezoid_abs(r: float, m: int, values: np.ndarray) -> float:
     return float(np.dot(theta_weights(r, m), np.abs(values)))
 
 
-def run_lipschitz_sampling(problem: ProblemSpec, cfg: ExperimentConfig,
-                           jobs: int = 1) -> ExperimentResult:
+def run_lipschitz_sampling(problem: ProblemSpec,
+                           cfg: ExperimentConfig) -> ExperimentResult:
     """Sample segment pairs and check the kernel and delay-term bounds.
 
     Kernel bound:      int |xi(., v1) - xi(., v2)| <= l11 * ||v1 - v2||_L1L1
@@ -320,7 +312,7 @@ def run_lipschitz_sampling(problem: ProblemSpec, cfg: ExperimentConfig,
         row["passed"] = ok
         return row
 
-    rows = _map_trials(trial, cfg.trials, jobs)
+    rows = [trial(i) for i in range(cfg.trials)]
     used = [row for row in rows if row["status"] == "ok"]
     kernel_ratios = [row[f"kernel_ratio_{var.value}"] for row in used
                      for var in KernelVariant]
@@ -373,7 +365,7 @@ def _high_mode_perturbation(op: OperatorSpec, N: int, amplitude: float,
 
 
 def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
-                        N: int, jobs: int = 1) -> ExperimentResult:
+                        N: int) -> ExperimentResult:
     """Fit the exponential decay rate of high-mode trajectory differences.
 
     Pairs differ by a theta-constant perturbation supported on modes above N,
@@ -436,7 +428,7 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
                 "r2": None, "q0": float(q[0]), "cone_entry_t": None,
                 "n_window": n_window}
 
-    rows = _map_trials(trial, cfg.trials, jobs)
+    rows = [trial(i) for i in range(cfg.trials)]
     fits = [row for row in rows if row["status"] == "fit"]
     slaved = [row for row in rows if row["status"] == "slaved"]
     inconclusive = [row for row in rows if row["status"] == "inconclusive"]

@@ -134,11 +134,3 @@ def push(v: HistorySegment, new_snapshot: GridField) -> HistorySegment:
         raise GridMismatch("new snapshot does not match the operator grid")
     rows = np.concatenate([v.values[1:], new_snapshot.values[None, :]], axis=0)
     return HistorySegment(operator=v.operator, r=v.r, m=v.m, values=rows)
-
-
-def to_csv_block(v: HistorySegment) -> str:
-    """One row per theta node: theta followed by the n_x samples."""
-    lines = ["theta," + ",".join(f"x_{i}" for i in range(v.operator.grid_points))]
-    for theta, row in zip(v.theta_nodes(), v.values):
-        lines.append(",".join(repr(float(x)) for x in (theta, *row)))
-    return "\n".join(lines) + "\n"

@@ -154,21 +154,3 @@ def l11_constant(spec: KernelSpec, variant=KernelVariant.FULL) -> float:
     if variant is KernelVariant.N:
         return im
     return max(ip, im)
-
-
-def kernel_to_config(spec: KernelSpec) -> dict:
-    """JSON-ready description (profiles listed node by node)."""
-    return {
-        "r": spec.r,
-        "m": spec.m,
-        "M_xi": spec.M_xi,
-        "xi_plus": [float(x) for x in spec.xi_plus],
-        "xi_minus": [float(x) for x in spec.xi_minus],
-    }
-
-
-def kernel_from_config(cfg: dict) -> KernelSpec:
-    return KernelSpec(r=cfg["r"], m=cfg["m"],
-                      xi_plus=np.asarray(cfg["xi_plus"], dtype=float),
-                      xi_minus=np.asarray(cfg["xi_minus"], dtype=float),
-                      M_xi=cfg["M_xi"])

@@ -151,15 +151,6 @@ def certified(spec: NonlinearitySpec) -> NonlinearitySpec:
     return replace(spec, M_b=M_b, L_b=L_b, constants_certified=True)
 
 
-def certification_argmaxes(spec: NonlinearitySpec) -> tuple[float, float]:
-    """(argmax |b|, argmax |b'|) on [0, 20]; diagnostic companion to certify."""
-    if spec.kind != "nicholson":
-        raise ContractViolation("argmax search is only defined for 'nicholson'")
-    w_mb, _ = _grid_refine_max(lambda w: b_eval(spec, w))
-    w_lb, _ = _grid_refine_max(lambda w: np.abs(b_prime(spec, w)))
-    return float(w_mb), float(w_lb)
-
-
 def delay_term(nl: NonlinearitySpec, ks: KernelSpec, v: HistorySegment,
                variant=KernelVariant.FULL) -> GridField:
     """The forcing field x -> int_{-r}^0 b(v(theta, x)) xi(theta, v) dtheta."""

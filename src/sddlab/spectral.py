@@ -17,8 +17,6 @@ from scipy.fft import dst, idst
 
 from .errors import ContractViolation, GridMismatch
 
-EIGENVALUE_MODES = ("analytic", "discrete")
-
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -32,14 +30,11 @@ class OperatorSpec:
     domain_length: L > 0
     modes: number K of retained eigenpairs
     grid_points: number n_x of cell-centered spatial samples
-    eigenvalue_mode: "analytic" for (k pi / L)^2, "discrete" for the
-        eigenvalues of the cell-centered finite-difference Laplacian
     """
 
     domain_length: float
     modes: int
     grid_points: int
-    eigenvalue_mode: str = "analytic"
 
     def __post_init__(self):
         _require(isinstance(self.modes, int) and not isinstance(self.modes, bool),
@@ -54,8 +49,6 @@ class OperatorSpec:
         # mode n_x is not discretely orthonormal on the midpoint grid
         _require(self.modes <= self.grid_points - 1,
                  "modes must be <= grid_points - 1 for an exact transform pair")
-        _require(self.eigenvalue_mode in EIGENVALUE_MODES,
-                 f"eigenvalue_mode must be one of {EIGENVALUE_MODES}")
 
     @property
     def h_x(self) -> float:
@@ -127,13 +120,6 @@ def full_discrete_eigenvalues(spec: OperatorSpec) -> np.ndarray:
     return _discrete_eigenvalues_upto(spec, spec.grid_points)
 
 
-def eigenvalues(spec: OperatorSpec) -> np.ndarray:
-    """Eigenvalues lambda_1 < ... < lambda_K per spec.eigenvalue_mode."""
-    if spec.eigenvalue_mode == "analytic":
-        return analytic_eigenvalues(spec)
-    return discrete_eigenvalues(spec)
-
-
 def eigenfunction(spec: OperatorSpec, k: int) -> GridField:
     """Samples of e_k(x) = sqrt(2/L) sin(k pi x / L) at the cell centers."""
     _require(1 <= k <= spec.modes, "k must be in 1..K")
@@ -161,15 +147,6 @@ def inverse(spec: OperatorSpec, modes: ModeVector) -> GridField:
     return GridField(idst(raw, type=2))
 
 
-def project_PN(modes: ModeVector, N: int) -> ModeVector:
-    """Zero all coefficients above the first N (spectral projection P_N)."""
-    _require(isinstance(N, int) and not isinstance(N, bool), "N must be an int")
-    _require(1 <= N <= len(modes), "N must be in 1..K")
-    out = modes.coeffs.copy()
-    out[N:] = 0.0
-    return ModeVector(out)
-
-
 def field_l2_norm(spec: OperatorSpec, field: GridField) -> float:
     """Midpoint-quadrature L2 norm sqrt(h_x * sum(u^2))."""
     if len(field) != spec.grid_points:
@@ -191,7 +168,7 @@ def hat_project(spec: OperatorSpec, history, N: int):
     _require(1 <= N <= spec.modes, "N must be in 1..K")
     if history.operator != spec:
         raise GridMismatch("history was built on a different operator grid")
-    lam = eigenvalues(spec)[:N]
+    lam = analytic_eigenvalues(spec)[:N]
     c0 = forward(spec, history.current()).coeffs[:N]
     rows = np.empty_like(history.values)
     padded = np.zeros(spec.modes)

@@ -246,17 +246,21 @@ def test_experiment_cone_invariance_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_experiment_jobs_bitwise_identical(tmp_path, capsys):
+def test_experiment_rerun_bitwise_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path, pi_dict())
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "parallel"
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
     assert main(["experiment", "coincidence", cfg,
-                 "--output-dir", str(out_a), "--jobs", "1"]) == 0
+                 "--output-dir", str(out_a)]) == 0
+    stdout_a = capsys.readouterr().out.replace(str(out_a), "<out>")
     assert main(["experiment", "coincidence", cfg,
-                 "--output-dir", str(out_b), "--jobs", "2"]) == 0
-    assert (out_a / "summary.json").read_bytes() == \
-        (out_b / "summary.json").read_bytes()
-    capsys.readouterr()
+                 "--output-dir", str(out_b)]) == 0
+    assert capsys.readouterr().out.replace(str(out_b), "<out>") == stdout_a
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    assert "summary.json" in names
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_experiment_csv_only_format(tmp_path, capsys):
@@ -358,3 +362,114 @@ def test_kernel_profiles_and_integrals_conflict(tmp_path, capsys):
     cfg = write_cfg(tmp_path, cfg_dict)
     assert main(["check", cfg]) == 2
     assert "either integrals or profiles" in capsys.readouterr().err
+
+
+def profile_dict():
+    cfg = simulate_dict()
+    cfg["kernel"] = {"r": 0.1, "m": 50, "M_xi": 0.8,
+                     "xi_plus": [0.3] * 51, "xi_minus": [-0.2] * 51}
+    return cfg
+
+
+NAN = float("nan")
+
+# key path -> (wrong JSON types, out-of-range values, required, nullable);
+# sections count as keys.  Every value must be rejected by every command.
+CONFIG_KEYS = {
+    "operator": ([[], 1, "x"], [], True, False),
+    "operator.domain_length": (["1", True, [1.0], NAN, 10**400], [0, -1.0],
+                               True, False),
+    "operator.modes": ([8.0, True, "8"], [0, -1], True, False),
+    "operator.grid_points": ([64.0, True], [1], True, False),
+    "kernel": ([[], 1], [], True, False),
+    "kernel.r": (["0.1", True, NAN], [0.0, -0.1], True, False),
+    "kernel.m": ([50.0, True], [0], True, False),
+    "kernel.M_xi": ([False, "x"], [0, -1.0], True, False),
+    "kernel.plus_integral": (["0", True], [-1e-3], True, False),
+    "kernel.minus_integral": (["0", True], [-1e-3], True, False),
+    "kernel.xi_plus": ([0.3, [True], ["0.3"], {}], [], True, False),
+    "kernel.xi_minus": ([-0.2, [None], [NAN]], [], True, False),
+    "nonlinearity": ([[], "nicholson"], [], True, False),
+    "nonlinearity.kind": ([1, True], ["bounded_custom", "Nicholson"], True, False),
+    "nonlinearity.p": (["1", True], [0, -1.0], False, False),
+    "variant": ([1, True, ["p"]], ["positive", "P"], False, False),
+    "conditions": ([[], 3], [], False, False),
+    "conditions.N": ([3.0, True, "3"], [0, -2], True, False),
+    "conditions.mu": (["1", True], [0, -0.5], False, True),
+    "simulation": ([[], "x"], [], False, False),
+    "simulation.horizon": (["0.5", True, NAN], [0, -0.5], True, False),
+    "simulation.stride": ([10.0, True], [0], False, False),
+    "simulation.record_modes": ([2.0, True], [0], False, True),
+    "simulation.initial": ([[], "x", 1], [], True, False),
+    "simulation.initial.family": ([1, True], ["white_noise"], True, False),
+    "simulation.initial.amplitude": (["1", True], [-0.5], True, False),
+    "simulation.initial.seed": ([4.0, True, "4"], [-1], True, False),
+    "experiment": ([[], 1], [], False, False),
+    "experiment.trials": ([2.0, True], [0, -1], True, False),
+    "experiment.seed": ([3.0, True], [-1], True, False),
+    "experiment.horizon": (["0.5", True], [0, -1.0], True, False),
+    "experiment.family": ([1, True], ["white_noise"], False, False),
+    "experiment.amplitude": (["1", True], [-1.0], False, False),
+    "experiment.stride": ([1.5, True], [0], False, False),
+    "experiment.alpha_min": (["1", True], [0, -1.0], False, True),
+    "experiment.N": ([3.0, True], [0], False, True),
+    "experiment.cone": ([1, True], ["upper"], False, False),
+}
+
+COMMANDS = (["check"], ["simulate"], ["experiment", "coincidence"])
+
+
+def bad_configs(path):
+    """(config, offending key path) pairs derived from one CONFIG_KEYS row."""
+    wrong, out_of_range, required, nullable = CONFIG_KEYS[path]
+    *parents, leaf = path.split(".")
+
+    def mutated(action, value=None, key=leaf):
+        cfg = profile_dict() if leaf.startswith("xi_") else simulate_dict()
+        sec = cfg
+        for name in parents:
+            sec = sec[name]
+        if action == "delete":
+            del sec[key]
+        else:
+            sec[key] = value
+        return cfg
+
+    cases = [(mutated("set", v), path) for v in wrong + out_of_range]
+    if not nullable:
+        cases.append((mutated("set", None), path))
+    if required:
+        cases.append((mutated("delete"), path))
+    sibling = ".".join(parents + ["bogus"])
+    cases.append((mutated("set", 1, key="bogus"), sibling))
+    return cases
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_KEYS))
+def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
+    for i, (cfg_dict, key) in enumerate(bad_configs(path)):
+        cfg = write_cfg(tmp_path, cfg_dict, name=f"bad{i}.json")
+        for cmd in COMMANDS:
+            assert main(cmd + [cfg]) == 2, (cmd, cfg_dict, key)
+            err = capsys.readouterr().err
+            assert key in err and "Traceback" not in err, (cmd, err)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--horizon", "0"], "horizon"),
+    (["experiment", "coincidence", "--horizon", "0"], "horizon"),
+    (["simulate", "--stride", "0"], "stride"),
+    (["experiment", "coincidence", "--trials", "0"], "trials"),
+    (["check", "-N", "0"], "N"),
+    (["check", "--mu", "0"], "mu"),
+    (["simulate", "--seed", "-1"], "seed"),
+    (["experiment", "coincidence", "--seed", "-1"], "seed"),
+])
+def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
+    cfg = write_cfg(tmp_path, simulate_dict())
+    cmd, flags = argv[:-2], argv[-2:]
+    assert main(cmd + [cfg] + flags) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err

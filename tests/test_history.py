@@ -149,18 +149,6 @@ def test_constant_history_from_field(op_headline):
         s.constant_history(op_headline, 0.5, 3, s.GridField(np.zeros(3)))
 
 
-def test_to_csv_block_roundtrip(op_headline):
-    rng = np.random.default_rng(15)
-    v = random_history(op_headline, 0.5, 3, rng)
-    text = s.to_csv_block(v)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("theta,x_0,")
-    assert len(lines) == 5
-    cells = [float(c) for c in lines[1].split(",")]
-    assert cells[0] == -0.5
-    assert np.array_equal(np.array(cells[1:]), v.values[0])
-
-
 def test_values_readonly(op_headline):
     v = s.constant_history(op_headline, 0.5, 3, 1.0)
     with pytest.raises(ValueError):

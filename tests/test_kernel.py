@@ -1,6 +1,5 @@
 """Kernel construction, caps, gate behavior, variants, and the A2-type bound."""
 
-import json
 
 import numpy as np
 import pytest
@@ -160,14 +159,3 @@ def test_positive_cone_coincidence_bitwise(headline_kernel, op_headline):
         v = s.history_from_rows(op_headline, 0.5, 50, rows)
         assert np.array_equal(s.eval_xi(headline_kernel, v, "full"),
                               s.eval_xi(headline_kernel, v, "p"))
-
-
-def test_config_roundtrip(headline_kernel):
-    cfg = s.kernel_to_config(headline_kernel)
-    json.dumps(cfg)  # JSON-ready
-    back = s.kernel_from_config(cfg)
-    assert back.r == headline_kernel.r
-    assert back.m == headline_kernel.m
-    assert back.M_xi == headline_kernel.M_xi
-    assert np.array_equal(back.xi_plus, headline_kernel.xi_plus)
-    assert np.array_equal(back.xi_minus, headline_kernel.xi_minus)

@@ -9,7 +9,6 @@ from sddlab.errors import CertificationError, ContractViolation
 # frozen closed forms (p = 1): sup b at w = 2, sup |b'| at w = 2 - sqrt(2)
 M_B_CLOSED = 0.54134113294645077  # 4 e^{-2}
 L_B_CLOSED = 0.46115879200720347  # 2 (sqrt(2)-1) e^{sqrt(2)-2}
-ARGMAX_LB = 0.58578643762690495   # 2 - sqrt(2)
 B_001 = 9.9004983374916805e-5     # b(0.01)
 
 
@@ -61,12 +60,6 @@ def test_certified_constants_match_independent_refinement(nl):
     assert abs(nl.L_b - ref_lb) <= 1e-6
 
 
-def test_certification_argmaxes(nl):
-    w_mb, w_lb = s.certification_argmaxes(nl)
-    assert w_mb == pytest.approx(2.0, abs=1e-6)
-    assert w_lb == pytest.approx(ARGMAX_LB, abs=1e-6)
-
-
 def test_certified_scales_with_p(nl):
     nl2 = s.certified(s.nicholson(2.0))
     assert nl2.M_b == pytest.approx(2.0 * nl.M_b, rel=1e-12)
@@ -87,8 +80,6 @@ def test_bounded_custom_wrapping():
     assert np.allclose(s.b_eval(custom, w), np.tanh(w) ** 2)
     with pytest.raises(ContractViolation):
         s.b_prime(custom, 1.0)
-    with pytest.raises(ContractViolation):
-        s.certification_argmaxes(custom)
     with pytest.raises(ContractViolation):
         s.NonlinearitySpec(kind="bounded_custom", func=lambda w: w)  # no constants
 

@@ -45,15 +45,6 @@ def test_full_discrete_eigenvalues_cover_grid(op_headline):
                           s.discrete_eigenvalues(op_headline))
 
 
-def test_eigenvalue_mode_dispatch():
-    op_a = s.OperatorSpec(10.0, 4, 32, eigenvalue_mode="analytic")
-    op_d = s.OperatorSpec(10.0, 4, 32, eigenvalue_mode="discrete")
-    assert np.array_equal(s.eigenvalues(op_a), s.analytic_eigenvalues(op_a))
-    assert np.array_equal(s.eigenvalues(op_d), s.discrete_eigenvalues(op_d))
-    with pytest.raises(ContractViolation):
-        s.OperatorSpec(10.0, 4, 32, eigenvalue_mode="exact")
-
-
 def test_operator_contracts():
     with pytest.raises(ContractViolation):
         s.OperatorSpec(-1.0, 4, 32)
@@ -111,19 +102,6 @@ def test_transform_grid_mismatch(op_headline):
         s.inverse(op_headline, s.ModeVector(np.zeros(4)))
     with pytest.raises(GridMismatch):
         s.field_l2_norm(op_headline, s.GridField(np.zeros(64)))
-
-
-def test_project_PN():
-    modes = s.ModeVector(np.arange(1.0, 9.0))
-    low = s.project_PN(modes, 3)
-    assert np.array_equal(low.coeffs[:3], [1.0, 2.0, 3.0])
-    assert np.all(low.coeffs[3:] == 0.0)
-    again = s.project_PN(low, 3)
-    assert np.array_equal(again.coeffs, low.coeffs)
-    with pytest.raises(ContractViolation):
-        s.project_PN(modes, 0)
-    with pytest.raises(ContractViolation):
-        s.project_PN(modes, 9)
 
 
 def test_eigenfunction_range(op_headline):
