@@ -22,9 +22,10 @@ from .conditions import (condition_report, default_mxi_grid, default_r_grid,
                          synthesize_params)
 from .errors import (CertificationError, ConfigError, ContractViolation,
                      IntegrationFailure)
-from .experiments import (FAMILIES, ExperimentConfig, emit, make_initial_history,
-                          run_attraction_rate, run_coincidence,
-                          run_cone_invariance, run_lipschitz_sampling)
+from .experiments import (FAMILIES, ExperimentConfig, cone_sign, emit,
+                          make_initial_history, run_attraction_rate,
+                          run_coincidence, run_cone_invariance,
+                          run_lipschitz_sampling)
 from .kernel import KernelSpec, KernelVariant, make_constant_kernel
 from .nonlinear import certified, nicholson
 from .solver import ProblemSpec, evolve, steps_for_horizon
@@ -204,6 +205,14 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     return validate_config(raw)
 
 
+def _at(key_path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ContractViolation re-raised at key_path."""
+    try:
+        return fn(*args, **kwargs)
+    except ContractViolation as exc:
+        raise ConfigError(key_path, str(exc)) from None
+
+
 def build_problem(cfg: dict) -> ProblemSpec:
     op = OperatorSpec(**cfg["operator"])
     kc = cfg["kernel"]
@@ -235,8 +244,8 @@ def cmd_check(args) -> int:
     if cfg["conditions"] is None:
         raise ConfigError("conditions", "missing required section for check")
     problem = build_problem(cfg)
-    report = condition_report(problem, cfg["conditions"]["N"],
-                              cfg["conditions"]["mu"])
+    report = _at("conditions", condition_report, problem,
+                 cfg["conditions"]["N"], cfg["conditions"]["mu"])
     if args.format == "csv":
         text = "\n".join(f"{key},{val}" for key, val in report.csv_rows()) + "\n"
     else:
@@ -289,14 +298,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulation", "missing required section for simulate")
     sim = cfg["simulation"]
     problem = build_problem(cfg)
-    problem = replace(problem,
-                      steps=steps_for_horizon(problem.kernel, sim["horizon"]))
+    problem = replace(problem, steps=_at("simulation.horizon", steps_for_horizon,
+                                         problem.kernel, sim["horizon"]))
     init = sim["initial"]
     rng = np.random.default_rng(init["seed"])
     phi = make_initial_history(problem.operator, problem.r, problem.m,
                                init["family"], init["amplitude"], rng)
-    rec = evolve(problem, phi, stride=sim["stride"],
-                 record_modes=sim["record_modes"])
+    rec = _at("simulation.record_modes", evolve, problem, phi,
+              stride=sim["stride"], record_modes=sim["record_modes"])
     output = args.output or os.path.join(_default_outdir(None), "trajectory.csv")
     if args.format == "json":
         payload = {key: getattr(rec, key).tolist() for key in
@@ -322,6 +331,10 @@ def cmd_experiment(args) -> int:
     ecfg = ExperimentConfig(**e)
     problem = build_problem(cfg)
     cones = ("positive", "negative") if cone == "both" else (cone,)
+    if args.name != "lipschitz":  # the runners check these without a key
+        first = "positive" if args.name == "attraction" else cones[0]
+        _at("experiment.family", cone_sign, ecfg.family, first)
+        _at("experiment.horizon", steps_for_horizon, problem.kernel, ecfg.horizon)
     if args.name == "cone-invariance":
         results = [run_cone_invariance(problem, ecfg, cone=c) for c in cones]
     elif args.name == "coincidence":
@@ -329,12 +342,13 @@ def cmd_experiment(args) -> int:
     elif args.name == "lipschitz":
         results = [run_lipschitz_sampling(problem, ecfg)]
     else:  # attraction
+        key = "experiment.N"
         if N is None and cfg["conditions"] is not None:
-            N = cfg["conditions"]["N"]
+            key, N = "conditions.N", cfg["conditions"]["N"]
         if N is None:
             raise ConfigError("experiment.N",
                               "attraction needs N (or a conditions section)")
-        results = [run_attraction_rate(problem, ecfg, N)]
+        results = [_at(key, run_attraction_rate, problem, ecfg, N)]
     out_dir = _default_outdir(args.output_dir)
     paths = emit(results, out_dir, format=args.format)
     for res in results:

@@ -25,7 +25,8 @@ from .history import (HistorySegment, norm_C, norm_L1L1, theta_weights)
 from .kernel import KernelVariant, eval_xi, l11_constant
 from .nonlinear import delay_term
 from .solver import ProblemSpec, evolve, steps_for_horizon
-from .spectral import GridField, ModeVector, OperatorSpec, forward, inverse
+from .spectral import (GridField, ModeVector, OperatorSpec, field_l2_norm,
+                       forward, inverse)
 
 FAMILIES = ("random_positive_fourier", "random_signed_fourier",
             "gaussian_bumps", "constant")
@@ -134,19 +135,21 @@ def make_initial_history(op: OperatorSpec, r: float, m: int, family: str,
     return HistorySegment(operator=op, r=r, m=m, values=rows)
 
 
-def _grid_l2(op: OperatorSpec, values: np.ndarray) -> float:
-    return float(np.sqrt(op.h_x * np.dot(values, values)))
+def cone_sign(family: str, cone: str) -> float:
+    """+1.0 or -1.0, the sign that maps draws of ``family`` into ``cone``;
+    rejects a cone name or a family that does not give cone members."""
+    if cone not in ("positive", "negative"):
+        raise ContractViolation("cone must be 'positive' or 'negative'")
+    if family not in POSITIVE_FAMILIES:
+        raise ContractViolation(
+            f"family {family!r} does not produce members of the {cone} cone")
+    return 1.0 if cone == "positive" else -1.0
 
 
 def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
                         cone: str = "positive") -> ExperimentResult:
     """Evolve cone members and record the worst signed excursion per trial."""
-    if cone not in ("positive", "negative"):
-        raise ContractViolation("cone must be 'positive' or 'negative'")
-    if cfg.family not in POSITIVE_FAMILIES:
-        raise ContractViolation(
-            f"family {cfg.family!r} does not produce members of the {cone} cone")
-    sign = 1.0 if cone == "positive" else -1.0
+    sign = cone_sign(cfg.family, cone)
     prob = replace(problem, steps=steps_for_horizon(problem.kernel, cfg.horizon))
 
     def trial(i: int) -> dict:
@@ -195,12 +198,7 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
                     include_witness: bool = True) -> ExperimentResult:
     """Variant full vs the one-sided variant on cone data; distance must be
     exactly zero (both runs take bitwise-identical evaluation paths)."""
-    if cone not in ("positive", "negative"):
-        raise ContractViolation("cone must be 'positive' or 'negative'")
-    if cfg.family not in POSITIVE_FAMILIES:
-        raise ContractViolation(
-            f"family {cfg.family!r} does not produce members of the {cone} cone")
-    sign = 1.0 if cone == "positive" else -1.0
+    sign = cone_sign(cfg.family, cone)
     one_sided = KernelVariant.P if cone == "positive" else KernelVariant.N
     steps = steps_for_horizon(problem.kernel, cfg.horizon)
     prob_full = replace(problem, variant=KernelVariant.FULL, steps=steps)
@@ -305,7 +303,7 @@ def run_lipschitz_sampling(problem: ProblemSpec,
             ok = ok and ratio <= 1.0 + KERNEL_TOL
         dB = (delay_term(nl, ks, v1, problem.variant).values
               - delay_term(nl, ks, v2, problem.variant).values)
-        num = _grid_l2(op, dB)
+        num = field_l2_norm(op, GridField(dB))
         ratio = 0.0 if num == 0.0 else num / (m1[problem.variant] * dC)
         row["b1_ratio"] = ratio
         ok = ok and ratio <= 1.0 + B1_TOL
@@ -376,14 +374,12 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
     conclusive pair is slaved.  Too-short windows are inconclusive, not
     failures.
     """
+    cone_sign(cfg.family, "positive")
     report = condition_report(problem, N)
     if not (report.A4_pass and report.A5_pass_p):
         raise ContractViolation(
             "attraction precondition failed: A4/A5 must pass for variant p "
             f"at N={N}")
-    if cfg.family not in POSITIVE_FAMILIES:
-        raise ContractViolation(
-            f"family {cfg.family!r} does not produce positive-cone members")
     op = problem.operator
     prob = replace(problem, variant=KernelVariant.P,
                    steps=steps_for_horizon(problem.kernel, cfg.horizon))

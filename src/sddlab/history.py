@@ -55,25 +55,11 @@ class HistorySegment:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @property
-    def h_theta(self) -> float:
-        return self.r / self.m
-
     def theta_nodes(self) -> np.ndarray:
-        return -self.r + np.arange(self.m + 1) * self.h_theta
-
-    def snapshot(self, j: int) -> GridField:
-        if not 0 <= j <= self.m:
-            raise ContractViolation("snapshot index out of range")
-        return GridField(self.values[j])
+        return -self.r + np.arange(self.m + 1) * (self.r / self.m)
 
     def current(self) -> GridField:
         return GridField(self.values[self.m])
-
-
-def history_from_rows(operator: OperatorSpec, r: float, m: int,
-                      rows: np.ndarray) -> HistorySegment:
-    return HistorySegment(operator=operator, r=r, m=m, values=np.asarray(rows, dtype=float))
 
 
 def constant_history(operator: OperatorSpec, r: float, m: int,
@@ -87,18 +73,6 @@ def constant_history(operator: OperatorSpec, r: float, m: int,
         row = np.full(operator.grid_points, float(value))
     return HistorySegment(operator=operator, r=r, m=m,
                           values=np.tile(row, (m + 1, 1)))
-
-
-def positive_part(v: HistorySegment) -> HistorySegment:
-    """Pointwise max(v, 0); together with negative_part partitions v exactly."""
-    return HistorySegment(operator=v.operator, r=v.r, m=v.m,
-                          values=np.maximum(v.values, 0.0))
-
-
-def negative_part(v: HistorySegment) -> HistorySegment:
-    """Pointwise min(v, 0), kept with its sign so v = v_plus + v_minus bitwise."""
-    return HistorySegment(operator=v.operator, r=v.r, m=v.m,
-                          values=np.minimum(v.values, 0.0))
 
 
 def _snapshot_l1(values: np.ndarray, h_x: float) -> np.ndarray:
@@ -123,14 +97,3 @@ def norm_L1L1(v: HistorySegment) -> float:
 def norm_C(v: HistorySegment) -> float:
     """Sup over theta nodes of the spatial L2 norm (the C([-r,0]; L2) norm)."""
     return float(np.max(_snapshot_l2(v.values, v.operator.h_x)))
-
-
-def push(v: HistorySegment, new_snapshot: GridField) -> HistorySegment:
-    """Advance the window one step: drop the oldest row, append the new state.
-
-    Retained rows are preserved bitwise.
-    """
-    if len(new_snapshot) != v.operator.grid_points:
-        raise GridMismatch("new snapshot does not match the operator grid")
-    rows = np.concatenate([v.values[1:], new_snapshot.values[None, :]], axis=0)
-    return HistorySegment(operator=v.operator, r=v.r, m=v.m, values=rows)

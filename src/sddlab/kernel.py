@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapViolation, ContractViolation, GridMismatch
-from .history import HistorySegment, negative_part, norm_L1L1, positive_part, theta_weights
+from .history import HistorySegment, theta_weights
 
 
 class KernelVariant(str, Enum):
@@ -80,10 +80,6 @@ class KernelSpec:
         object.__setattr__(self, "xi_plus", xp)
         object.__setattr__(self, "xi_minus", xn)
 
-    @property
-    def h_theta(self) -> float:
-        return self.r / self.m
-
 
 def make_constant_kernel(r: float, m: int, plus_integral: float,
                          minus_integral: float, M_xi: float) -> KernelSpec:
@@ -118,9 +114,27 @@ def clip_gate(norm: float) -> float:
     return norm if norm < 1.0 else 1.0
 
 
+def sign_masses(values: np.ndarray, h_x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-snapshot masses int v_plus dx and int (-v_minus) dx along the last axis.
+
+    These expressions fix the bits of the solver's gates, so eval_xi and the
+    solver's rolling caches both call this function.
+    """
+    return (h_x * np.maximum(values, 0.0).sum(axis=-1),
+            h_x * (-np.minimum(values, 0.0)).sum(axis=-1))
+
+
+def gates(tw: np.ndarray, w_plus: np.ndarray, w_minus: np.ndarray) -> tuple[float, float]:
+    """Clipped gates (s_plus, s_minus) = min(||v_pm||_L1L1, 1) from the
+    trapezoid weights and the per-snapshot sign masses."""
+    return (clip_gate(float(np.dot(tw, w_plus))),
+            clip_gate(float(np.dot(tw, w_minus))))
+
+
 def combine_profiles(spec: KernelSpec, s_plus: float, s_minus: float,
                      variant: KernelVariant) -> np.ndarray:
-    """xi(theta_j) for given gate values; shared by eval_xi and the solver."""
+    """xi(theta_j) for given gate values; its two callers are eval_xi and the
+    solver's forcing."""
     if variant is KernelVariant.P:
         return spec.xi_plus * s_plus
     if variant is KernelVariant.N:
@@ -135,9 +149,9 @@ def eval_xi(spec: KernelSpec, v: HistorySegment, variant=KernelVariant.FULL) -> 
         raise GridMismatch(
             f"history window (r={v.r}, m={v.m}) does not match kernel "
             f"(r={spec.r}, m={spec.m})")
-    s_plus = clip_gate(norm_L1L1(positive_part(v)))
-    s_minus = clip_gate(norm_L1L1(negative_part(v)))
-    return combine_profiles(spec, s_plus, s_minus, variant)
+    return combine_profiles(
+        spec, *gates(theta_weights(spec.r, spec.m),
+                     *sign_masses(v.values, v.operator.h_x)), variant)
 
 
 def l11_constant(spec: KernelSpec, variant=KernelVariant.FULL) -> float:

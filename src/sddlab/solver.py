@@ -20,8 +20,9 @@ import numpy as np
 from scipy.fft import dst, idst
 
 from .errors import CertificationError, ContractViolation, GridMismatch, IntegrationFailure
-from .history import HistorySegment, push, theta_weights
-from .kernel import KernelSpec, KernelVariant, _as_variant, clip_gate, combine_profiles
+from .history import HistorySegment, theta_weights
+from .kernel import (KernelSpec, KernelVariant, _as_variant, combine_profiles,
+                     gates, sign_masses)
 from .nonlinear import NonlinearitySpec, b_eval
 from .spectral import GridField, OperatorSpec, forward, full_discrete_eigenvalues
 
@@ -58,10 +59,6 @@ class ProblemSpec:
         """Step size; equals the theta spacing of the delay window."""
         return self.kernel.r / self.kernel.m
 
-    @property
-    def horizon(self) -> float:
-        return self.steps * self.h
-
 
 def steps_for_horizon(kernel: KernelSpec, T: float) -> int:
     """Number of steps covering [0, T]; T must be an integer multiple of h."""
@@ -74,7 +71,8 @@ def steps_for_horizon(kernel: KernelSpec, T: float) -> int:
 
 
 class _Engine:
-    """Rolling-cache stepper; ``step`` and ``evolve`` share this code path."""
+    """Rolling-cache stepper behind ``evolve``: the history ring plus the
+    per-snapshot b values and sign masses the forcing needs."""
 
     def __init__(self, problem: ProblemSpec, phi: HistorySegment):
         if phi.operator != problem.operator:
@@ -90,8 +88,7 @@ class _Engine:
         # overflow in b on absurd data surfaces as IntegrationFailure later
         with np.errstate(over="ignore", invalid="ignore"):
             self.b_rows = b_eval(problem.nonlinearity, self.values)
-        self.w_plus = self.h_x * np.maximum(self.values, 0.0).sum(axis=1)
-        self.w_minus = self.h_x * (-np.minimum(self.values, 0.0)).sum(axis=1)
+        self.w_plus, self.w_minus = sign_masses(self.values, self.h_x)
         lam = full_discrete_eigenvalues(op)
         h = problem.h
         self.E = np.exp(-lam * h)
@@ -102,9 +99,8 @@ class _Engine:
         return self.values[-1]
 
     def forcing(self) -> np.ndarray:
-        s_plus = clip_gate(float(np.dot(self.tw, self.w_plus)))
-        s_minus = clip_gate(float(np.dot(self.tw, self.w_minus)))
-        xi = combine_profiles(self.problem.kernel, s_plus, s_minus,
+        xi = combine_profiles(self.problem.kernel,
+                              *gates(self.tw, self.w_plus, self.w_minus),
                               self.problem.variant)
         return (self.tw * xi) @ self.b_rows
 
@@ -124,21 +120,9 @@ class _Engine:
         with np.errstate(over="ignore", invalid="ignore"):
             self.b_rows[-1] = b_eval(self.problem.nonlinearity, u_new)
         self.w_plus[:-1] = self.w_plus[1:]
-        self.w_plus[-1] = self.h_x * np.maximum(u_new, 0.0).sum()
         self.w_minus[:-1] = self.w_minus[1:]
-        self.w_minus[-1] = self.h_x * (-np.minimum(u_new, 0.0)).sum()
+        self.w_plus[-1], self.w_minus[-1] = sign_masses(u_new, self.h_x)
         return u_new
-
-    def history(self) -> HistorySegment:
-        return HistorySegment(operator=self.problem.operator, r=self.problem.r,
-                              m=self.problem.m, values=self.values)
-
-
-def step(problem: ProblemSpec, v: HistorySegment) -> HistorySegment:
-    """One exponential Euler step; the returned window shares m rows with v."""
-    eng = _Engine(problem, v)
-    u_new = eng.advance()
-    return push(v, GridField(u_new))
 
 
 @dataclass(frozen=True)

@@ -99,25 +99,17 @@ def analytic_eigenvalues(spec: OperatorSpec) -> np.ndarray:
     return (k * np.pi / spec.domain_length) ** 2
 
 
-def discrete_eigenvalues(spec: OperatorSpec) -> np.ndarray:
-    """Eigenvalues of the cell-centered difference Laplacian, k = 1 .. K.
+def full_discrete_eigenvalues(spec: OperatorSpec) -> np.ndarray:
+    """All n_x eigenvalues of the cell-centered difference Laplacian, k = 1 .. n_x
+    (the time-stepping spectrum; the first K pair with the retained modes).
 
     lambda_hat_k = (2/h^2)(1 - cos(k pi h / L)), evaluated in the
     cancellation-free form (4/h^2) sin^2(k pi h / (2L)).
     """
-    return _discrete_eigenvalues_upto(spec, spec.modes)
-
-
-def _discrete_eigenvalues_upto(spec: OperatorSpec, kmax: int) -> np.ndarray:
     h = spec.h_x
-    k = np.arange(1, kmax + 1, dtype=float)
+    k = np.arange(1, spec.grid_points + 1, dtype=float)
     s = np.sin(k * np.pi * h / (2.0 * spec.domain_length))
     return (4.0 / (h * h)) * s * s
-
-
-def full_discrete_eigenvalues(spec: OperatorSpec) -> np.ndarray:
-    """All n_x eigenvalues of the difference Laplacian (time-stepping spectrum)."""
-    return _discrete_eigenvalues_upto(spec, spec.grid_points)
 
 
 def eigenfunction(spec: OperatorSpec, k: int) -> GridField:

@@ -51,4 +51,4 @@ def pi_problem(op_pi, pi_kernel, nl):
 def random_history(op, r, m, rng, scale=1.0):
     """Signed random segment helper used by several property tests."""
     rows = scale * rng.normal(size=(m + 1, op.grid_points))
-    return s.history_from_rows(op, r, m, rows)
+    return s.HistorySegment(op, r, m, rows)

@@ -105,7 +105,7 @@ def test_check_N_override(tmp_path, capsys):
 def test_check_invalid_mu(tmp_path, capsys):
     cfg = write_cfg(tmp_path, headline_dict())
     assert main(["check", cfg, "--mu", "1.0"]) == 2
-    assert "config error: mu must lie in" in capsys.readouterr().err
+    assert "config error at conditions: mu must lie in" in capsys.readouterr().err
 
 
 def test_check_variant_validation(tmp_path, capsys):
@@ -465,6 +465,12 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
     (["check", "--mu", "0"], "mu"),
     (["simulate", "--seed", "-1"], "seed"),
     (["experiment", "coincidence", "--seed", "-1"], "seed"),
+    # checks across keys, after the schema: K = 8 and h = 0.002
+    (["check", "-N", "8"], "conditions"),
+    (["check", "--mu", "100"], "conditions"),
+    (["simulate", "--horizon", "0.001"], "simulation.horizon"),
+    (["experiment", "coincidence", "--horizon", "0.001"], "experiment.horizon"),
+    (["experiment", "attraction", "--horizon", "0.001"], "experiment.horizon"),
 ])
 def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
@@ -473,3 +479,22 @@ def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     assert main(cmd + [cfg] + flags) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd, path, value", [
+    (["simulate"], "simulation.record_modes", 9),
+    (["experiment", "attraction"], "experiment.N", 8),
+    (["experiment", "attraction"], "conditions.N", 8),
+    (["experiment", "attraction"], "experiment.family", "random_signed_fourier"),
+    (["experiment", "cone-invariance"], "experiment.family",
+     "random_signed_fourier"),
+])
+def test_cross_key_rejection(cmd, path, value, tmp_path, capsys, monkeypatch):
+    # values the schema accepts but a check across keys (K = 8) rejects
+    monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
+    cfg_dict = simulate_dict()
+    section, key = path.split(".")
+    cfg_dict[section][key] = value
+    assert main(cmd + [write_cfg(tmp_path, cfg_dict)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {path}:") and "Traceback" not in err

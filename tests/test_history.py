@@ -1,10 +1,11 @@
-"""History segments: construction, sign partition, norms, and the ring push."""
+"""History segments: construction, sign masses, and norms."""
 
 import numpy as np
 import pytest
 
 import sddlab as s
 from sddlab.errors import ContractViolation, GridMismatch
+from sddlab.kernel import sign_masses
 
 from conftest import random_history
 
@@ -22,13 +23,16 @@ def test_theta_weights_trapezoid():
 
 
 def test_partition_is_exact_bitwise(op_headline):
+    # the masses split |v| row by row; mirroring v swaps them exactly
     rng = np.random.default_rng(10)
     v = random_history(op_headline, 0.5, 20, rng)
-    pos, neg = s.positive_part(v), s.negative_part(v)
-    assert np.all(pos.values >= 0.0)
-    assert np.all(neg.values <= 0.0)
-    assert np.array_equal(pos.values + neg.values, v.values)
-    assert np.all(pos.values * neg.values == 0.0)
+    h = op_headline.h_x
+    w_plus, w_minus = sign_masses(v.values, h)
+    assert np.all(w_plus >= 0.0) and np.all(w_minus >= 0.0)
+    assert np.allclose(w_plus + w_minus, h * np.abs(v.values).sum(axis=1),
+                       rtol=1e-13, atol=0.0)
+    m_plus, m_minus = sign_masses(-v.values, h)
+    assert np.array_equal(m_plus, w_minus) and np.array_equal(m_minus, w_plus)
 
 
 def test_norm_L1L1_constant_exact_dyadic():
@@ -48,9 +52,10 @@ def test_norm_L1L1_constant_headline(op_headline):
 def test_norm_L1L1_additive_over_partition(op_headline):
     rng = np.random.default_rng(11)
     v = random_history(op_headline, 0.5, 30, rng)
-    total = s.norm_L1L1(v)
-    split = s.norm_L1L1(s.positive_part(v)) + s.norm_L1L1(s.negative_part(v))
-    assert split == pytest.approx(total, rel=1e-12)
+    tw = s.theta_weights(0.5, 30)
+    w_plus, w_minus = sign_masses(v.values, op_headline.h_x)
+    split = float(np.dot(tw, w_plus)) + float(np.dot(tw, w_minus))
+    assert split == pytest.approx(s.norm_L1L1(v), rel=1e-12)
 
 
 def test_norm_L1L1_quadrature_converges_to_smooth_integral():
@@ -60,7 +65,7 @@ def test_norm_L1L1_quadrature_converges_to_smooth_integral():
     def segment(m):
         theta = -0.5 + np.arange(m + 1) * (0.5 / m)
         rows = (1.0 + theta)[:, None] ** 2 * np.sin(np.pi * x)[None, :]
-        return s.history_from_rows(op, 0.5, m, rows)
+        return s.HistorySegment(op, 0.5, m, rows)
 
     # against the analytic double integral
     assert abs(s.norm_L1L1(segment(400)) - THETA_QUAD_REF) \
@@ -83,7 +88,7 @@ def test_norm_C_constant_frozen():
 def test_norm_C_takes_sup_over_theta(op_headline):
     rows = np.zeros((11, op_headline.grid_points))
     rows[3] = 0.5
-    v = s.history_from_rows(op_headline, 0.5, 10, rows)
+    v = s.HistorySegment(op_headline, 0.5, 10, rows)
     expected = float(np.sqrt(op_headline.h_x * op_headline.grid_points) * 0.5)
     assert s.norm_C(v) == pytest.approx(expected, rel=1e-14)
 
@@ -98,32 +103,16 @@ def test_embedding_L1L1_below_C(op_headline):
         assert s.norm_L1L1(v) <= r * np.sqrt(L) * s.norm_C(v) * (1 + 1e-12)
 
 
-def test_push_fifo_and_bitwise_retention(op_headline):
-    rng = np.random.default_rng(13)
-    v = random_history(op_headline, 0.5, 6, rng)
-    new = s.GridField(rng.normal(size=op_headline.grid_points))
-    pushed = s.push(v, new)
-    assert np.array_equal(pushed.values[:-1], v.values[1:])
-    assert np.array_equal(pushed.values[-1], new.values)
-    assert pushed.r == v.r and pushed.m == v.m
-
-
-def test_push_grid_mismatch(op_headline):
-    v = s.constant_history(op_headline, 0.5, 5, 1.0)
-    with pytest.raises(GridMismatch):
-        s.push(v, s.GridField(np.zeros(3)))
-
-
 def test_segment_contracts(op_headline):
     good = np.zeros((6, op_headline.grid_points))
     with pytest.raises(ContractViolation):
-        s.history_from_rows(op_headline, 0.5, 6, good)  # needs 7 rows
+        s.HistorySegment(op_headline, 0.5, 6, good)  # needs 7 rows
     with pytest.raises(GridMismatch):
-        s.history_from_rows(op_headline, 0.5, 5, np.zeros((6, 16)))
+        s.HistorySegment(op_headline, 0.5, 5, np.zeros((6, 16)))
     with pytest.raises(ContractViolation):
-        s.history_from_rows(op_headline, 0.5, 0, good[:1])
+        s.HistorySegment(op_headline, 0.5, 0, good[:1])
     with pytest.raises(ContractViolation):
-        s.history_from_rows(op_headline, -0.5, 5, good)
+        s.HistorySegment(op_headline, -0.5, 5, good)
     with pytest.raises(ContractViolation):
         s.constant_history(op_headline, np.inf, 5, 1.0)
 
@@ -131,13 +120,10 @@ def test_segment_contracts(op_headline):
 def test_snapshot_accessors(op_headline):
     rng = np.random.default_rng(14)
     v = random_history(op_headline, 0.5, 4, rng)
-    assert np.array_equal(v.snapshot(0).values, v.values[0])
     assert np.array_equal(v.current().values, v.values[4])
     theta = v.theta_nodes()
     assert theta[0] == -0.5 and theta[-1] == 0.0
     assert len(theta) == 5
-    with pytest.raises(ContractViolation):
-        v.snapshot(5)
 
 
 def test_constant_history_from_field(op_headline):

@@ -18,7 +18,6 @@ def test_make_constant_kernel_levels(headline_kernel):
     assert np.all(headline_kernel.xi_plus == 1.2e-4)
     assert np.all(headline_kernel.xi_minus == -3.6e-4)
     assert headline_kernel.M_xi == 8e-4
-    assert headline_kernel.h_theta == 0.01
 
 
 def test_make_constant_kernel_cap_errors():
@@ -115,12 +114,12 @@ def test_kernel_lipschitz_bound_all_variants(headline_kernel, op_headline):
         scale = rng.uniform(0.001, 3.0)
         v1 = random_history(op_headline, ks.r, ks.m, rng, scale=scale)
         if i % 3 == 0:
-            v2 = s.history_from_rows(op_headline, ks.r, ks.m,
-                                     rng.uniform(0.0, 2.0) * v1.values)
+            v2 = s.HistorySegment(op_headline, ks.r, ks.m,
+                                  rng.uniform(0.0, 2.0) * v1.values)
         else:
             v2 = random_history(op_headline, ks.r, ks.m, rng, scale=scale)
-        d11 = s.norm_L1L1(s.history_from_rows(op_headline, ks.r, ks.m,
-                                              v1.values - v2.values))
+        d11 = s.norm_L1L1(s.HistorySegment(op_headline, ks.r, ks.m,
+                                           v1.values - v2.values))
         for variant in s.KernelVariant:
             num = float(np.dot(w, np.abs(s.eval_xi(ks, v1, variant)
                                          - s.eval_xi(ks, v2, variant))))
@@ -156,6 +155,6 @@ def test_positive_cone_coincidence_bitwise(headline_kernel, op_headline):
     rng = np.random.default_rng(23)
     for _ in range(20):
         rows = np.abs(rng.normal(size=(51, op_headline.grid_points))) + 0.001
-        v = s.history_from_rows(op_headline, 0.5, 50, rows)
+        v = s.HistorySegment(op_headline, 0.5, 50, rows)
         assert np.array_equal(s.eval_xi(headline_kernel, v, "full"),
                               s.eval_xi(headline_kernel, v, "p"))

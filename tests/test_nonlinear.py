@@ -123,7 +123,7 @@ def test_delay_term_full_equals_p_on_positive_cone(nl, headline_kernel,
     rng = np.random.default_rng(30)
     for _ in range(10):
         rows = np.abs(rng.normal(size=(51, op_headline.grid_points))) + 0.01
-        v = s.history_from_rows(op_headline, 0.5, 50, rows)
+        v = s.HistorySegment(op_headline, 0.5, 50, rows)
         full = s.delay_term(nl, headline_kernel, v, "full").values
         p = s.delay_term(nl, headline_kernel, v, "p").values
         assert np.array_equal(full, p)
@@ -132,7 +132,7 @@ def test_delay_term_full_equals_p_on_positive_cone(nl, headline_kernel,
 def test_delay_term_sign_on_positive_cone(nl, headline_kernel, op_headline):
     rng = np.random.default_rng(31)
     rows = np.abs(rng.normal(size=(51, op_headline.grid_points)))
-    v = s.history_from_rows(op_headline, 0.5, 50, rows)
+    v = s.HistorySegment(op_headline, 0.5, 50, rows)
     assert np.all(s.delay_term(nl, headline_kernel, v, "p").values >= 0.0)
     assert np.all(s.delay_term(nl, headline_kernel, v, "full").values >= 0.0)
 
@@ -143,9 +143,9 @@ def test_delay_term_uniform_bound(nl, headline_kernel, op_headline):
     ks = headline_kernel
     cap = nl.M_b * ks.M_xi * ks.r
     for _ in range(50):
-        v = s.history_from_rows(op_headline, ks.r, ks.m,
-                                rng.normal(scale=rng.uniform(0.1, 10.0),
-                                           size=(51, op_headline.grid_points)))
+        v = s.HistorySegment(op_headline, ks.r, ks.m,
+                             rng.normal(scale=rng.uniform(0.1, 10.0),
+                                        size=(51, op_headline.grid_points)))
         out = s.delay_term(nl, ks, v).values
         assert float(np.abs(out).max()) <= cap * (1 + 1e-12)
         l2 = s.field_l2_norm(op_headline, s.GridField(out))

@@ -6,6 +6,8 @@ import pytest
 
 import sddlab as s
 from sddlab.errors import ContractViolation, GridMismatch, IntegrationFailure
+from sddlab.kernel import gates, sign_masses
+from sddlab.solver import _Engine
 from sddlab.spectral import full_discrete_eigenvalues
 
 from conftest import random_history
@@ -19,11 +21,11 @@ def test_problem_spec_properties(headline_problem):
     assert headline_problem.r == 0.5
     assert headline_problem.m == 50
     assert headline_problem.h == 0.01
-    assert headline_problem.horizon == 0.0
+    assert headline_problem.steps == 0
     re = s.ProblemSpec(operator=headline_problem.operator,
                        kernel=headline_problem.kernel,
                        nonlinearity=headline_problem.nonlinearity, steps=200)
-    assert re.horizon == pytest.approx(2.0, rel=1e-15)
+    assert re.steps == 200 and re.h == 0.01
 
 
 def test_problem_spec_contracts(op_headline, headline_kernel, nl):
@@ -79,29 +81,36 @@ def test_single_step_forcing_increment_bound(headline_problem, op_headline, nl):
     prob = s.ProblemSpec(operator=op_headline, kernel=headline_problem.kernel,
                          nonlinearity=nl, steps=1)
     phi = s.constant_history(op_headline, 0.5, 50, 1.0)
-    nxt = s.step(prob, phi)
+    nxt = s.evolve(prob, phi, record_fields=True).fields[1]
     cap = prob.h * nl.M_b * prob.kernel.M_xi * prob.r
-    assert float(np.abs(nxt.current().values).max()) <= 1.0 + cap * (1 + 1e-9)
+    assert float(np.abs(nxt).max()) <= 1.0 + cap * (1 + 1e-9)
 
 
-def test_step_equals_evolve_bitwise(pi_problem, op_pi):
+def test_engine_forcing_is_delay_term_bitwise(pi_problem, op_pi):
+    # the solver's rolling caches and delay_term on the same window give the
+    # same forcing bits; N(3.5, 2) data saturate the plus gate and open the
+    # minus gate
     rng = np.random.default_rng(40)
-    rows = np.abs(rng.normal(size=(51, op_pi.grid_points)))
-    phi = s.history_from_rows(op_pi, 0.1, 50, rows)
-    steps = 30
-    prob = s.ProblemSpec(operator=op_pi, kernel=pi_problem.kernel,
-                         nonlinearity=pi_problem.nonlinearity, steps=steps)
-    rec = s.evolve(prob, phi, stride=1, record_fields=True)
-    v = phi
-    for k in range(1, steps + 1):
-        v = s.step(prob, v)
-        assert np.array_equal(v.current().values, rec.fields[k])
+    rows = rng.normal(3.5, 2.0, size=(51, op_pi.grid_points))
+    ks, nl = pi_problem.kernel, pi_problem.nonlinearity
+    s_plus, s_minus = gates(s.theta_weights(ks.r, ks.m),
+                            *sign_masses(rows, op_pi.h_x))
+    assert s_plus == 1.0 and 0.0 < s_minus < 1.0
+    for variant in s.KernelVariant:
+        prob = s.ProblemSpec(operator=op_pi, kernel=ks, nonlinearity=nl,
+                             variant=variant)
+        eng = _Engine(prob, s.HistorySegment(op_pi, ks.r, ks.m, rows))
+        for _ in range(30):
+            window = s.HistorySegment(op_pi, ks.r, ks.m, eng.values)
+            assert np.array_equal(eng.forcing(),
+                                  s.delay_term(nl, ks, window, variant).values)
+            eng.advance()
 
 
 def test_evolve_deterministic_bitwise(pi_problem, op_pi):
     rng = np.random.default_rng(41)
     rows = np.abs(rng.normal(size=(51, op_pi.grid_points)))
-    phi = s.history_from_rows(op_pi, 0.1, 50, rows)
+    phi = s.HistorySegment(op_pi, 0.1, 50, rows)
     prob = s.ProblemSpec(operator=op_pi, kernel=pi_problem.kernel,
                          nonlinearity=pi_problem.nonlinearity, steps=100)
     a = s.evolve(prob, phi, stride=7, record_fields=True)
@@ -134,7 +143,7 @@ def test_evolve_sampling_layout(headline_problem, op_headline):
 def test_high_norm_partition(pi_problem, op_pi):
     rng = np.random.default_rng(42)
     rows = np.abs(rng.normal(size=(51, op_pi.grid_points)))
-    phi = s.history_from_rows(op_pi, 0.1, 50, rows)
+    phi = s.HistorySegment(op_pi, 0.1, 50, rows)
     prob = s.ProblemSpec(operator=op_pi, kernel=pi_problem.kernel,
                          nonlinearity=pi_problem.nonlinearity, steps=50)
     rec = s.evolve(prob, phi, stride=10, record_modes=4)
@@ -216,9 +225,10 @@ def test_integration_failure_step_index(op_headline, headline_kernel, nl):
 def test_engine_grid_mismatch(headline_problem, op_headline):
     other = s.OperatorSpec(100.0, 8, 64)
     with pytest.raises(GridMismatch):
-        s.step(headline_problem, s.constant_history(other, 0.5, 50, 1.0))
+        s.evolve(headline_problem, s.constant_history(other, 0.5, 50, 1.0))
     with pytest.raises(GridMismatch):
-        s.step(headline_problem, s.constant_history(op_headline, 0.5, 40, 1.0))
+        s.evolve(headline_problem,
+                 s.constant_history(op_headline, 0.5, 40, 1.0))
 
 
 def test_trajectory_csv_text(pi_problem, op_pi):

@@ -30,7 +30,7 @@ def test_analytic_eigenvalues_long_domain(op_headline):
 
 def test_discrete_eigenvalues_below_analytic_with_quadratic_gap(op_headline):
     lam = s.analytic_eigenvalues(op_headline)
-    lam_hat = s.discrete_eigenvalues(op_headline)
+    lam_hat = full_discrete_eigenvalues(op_headline)[:op_headline.modes]
     h = op_headline.h_x
     # lam_hat = lam (1 - lam h^2 / 12 + O(h^4))
     assert np.all(lam_hat <= lam)
@@ -41,8 +41,12 @@ def test_full_discrete_eigenvalues_cover_grid(op_headline):
     lam_all = full_discrete_eigenvalues(op_headline)
     assert lam_all.shape == (op_headline.grid_points,)
     assert np.all(np.diff(lam_all) > 0)
-    assert np.array_equal(lam_all[: op_headline.modes],
-                          s.discrete_eigenvalues(op_headline))
+    # the cancellation-free form agrees with (2/h^2)(1 - cos(k pi h / L))
+    h = op_headline.h_x
+    k = np.arange(1, op_headline.grid_points + 1)
+    cos_form = (2.0 / (h * h)) * (1.0 - np.cos(k * np.pi * h
+                                               / op_headline.domain_length))
+    assert np.allclose(lam_all, cos_form, rtol=1e-9, atol=0.0)
 
 
 def test_operator_contracts():
@@ -127,7 +131,7 @@ def test_hat_project_backward_amplification():
     field = s.GridField(c0 * s.eigenfunction(op, 1).values)
     phi = s.constant_history(op, 0.1, 10, field)
     hat = s.hat_project(op, phi, 1)
-    a_old = s.forward(op, hat.snapshot(0)).coeffs
+    a_old = s.forward(op, s.GridField(hat.values[0])).coeffs
     assert a_old[0] / c0 == pytest.approx(EXP_P1, rel=1e-13)
     assert np.max(np.abs(a_old[1:])) <= 1e-13
     # the current snapshot is the low-mode projection of the original
@@ -138,7 +142,7 @@ def test_hat_project_backward_amplification():
 def test_hat_project_idempotent(op_headline):
     rng = np.random.default_rng(3)
     rows = np.abs(rng.normal(size=(21, op_headline.grid_points)))
-    phi = s.history_from_rows(op_headline, 0.5, 20, rows)
+    phi = s.HistorySegment(op_headline, 0.5, 20, rows)
     once = s.hat_project(op_headline, phi, 2)
     twice = s.hat_project(op_headline, once, 2)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-10
