@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -298,14 +297,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulation", "missing required section for simulate")
     sim = cfg["simulation"]
     problem = build_problem(cfg)
-    problem = replace(problem, steps=_at("simulation.horizon", steps_for_horizon,
-                                         problem.kernel, sim["horizon"]))
+    steps = _at("simulation.horizon", steps_for_horizon, problem.kernel,
+                sim["horizon"])
     init = sim["initial"]
     rng = np.random.default_rng(init["seed"])
     phi = make_initial_history(problem.operator, problem.r, problem.m,
                                init["family"], init["amplitude"], rng)
-    rec = _at("simulation.record_modes", evolve, problem, phi,
-              stride=sim["stride"], record_modes=sim["record_modes"])
+    [rec] = _at("simulation.record_modes", evolve, problem, [phi], steps,
+                stride=sim["stride"], record_modes=sim["record_modes"])
     output = args.output or os.path.join(_default_outdir(None), "trajectory.csv")
     if args.format == "json":
         payload = {key: getattr(rec, key).tolist() for key in
@@ -331,10 +330,10 @@ def cmd_experiment(args) -> int:
     ecfg = ExperimentConfig(**e)
     problem = build_problem(cfg)
     cones = ("positive", "negative") if cone == "both" else (cone,)
-    if args.name != "lipschitz":  # the runners check these without a key
+    if args.name != "lipschitz":  # the runners check the family without a key
         first = "positive" if args.name == "attraction" else cones[0]
         _at("experiment.family", cone_sign, ecfg.family, first)
-        _at("experiment.horizon", steps_for_horizon, problem.kernel, ecfg.horizon)
+    _at("experiment.horizon", steps_for_horizon, problem.kernel, ecfg.horizon)
     if args.name == "cone-invariance":
         results = [run_cone_invariance(problem, ecfg, cone=c) for c in cones]
     elif args.name == "coincidence":

@@ -23,14 +23,15 @@ class IntegrationFailure(RuntimeError):
     """Time stepping produced a non-finite state.
 
     ``step_index`` is the 1-based index of the step whose output first
-    failed the finiteness check.
+    failed the finiteness check, ``t`` the time it reached, and ``row`` the
+    index of the failed history in the batch.
     """
 
-    def __init__(self, step_index: int, message: str | None = None):
+    def __init__(self, step_index: int, t: float, row: int):
         self.step_index = int(step_index)
-        if message is None:
-            message = f"non-finite state after step {self.step_index}"
-        super().__init__(message)
+        self.t = float(t)
+        self.row = int(row)
+        super().__init__(f"non-finite state after step {self.step_index}")
 
 
 class ConfigError(ValueError):

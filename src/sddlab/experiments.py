@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -32,6 +33,7 @@ FAMILIES = ("random_positive_fourier", "random_signed_fourier",
             "gaussian_bumps", "constant")
 POSITIVE_FAMILIES = ("random_positive_fourier", "gaussian_bumps", "constant")
 
+BATCH_ROWS = 64  # histories stepped together; bounds memory, results do not depend on it
 CONE_TOL = 1e-12
 B1_TOL = 1e-8
 KERNEL_TOL = 1e-10
@@ -146,32 +148,38 @@ def cone_sign(family: str, cone: str) -> float:
     return 1.0 if cone == "positive" else -1.0
 
 
+def _evolve_batched(problem: ProblemSpec, phis: Iterable[HistorySegment],
+                    steps: int, **kwargs) -> Iterator:
+    """``evolve`` over the histories BATCH_ROWS at a time; yields one record
+    per history, in order, so a failure surfaces in the order of a loop."""
+    it = iter(phis)
+    while batch := list(islice(it, BATCH_ROWS)):
+        yield from evolve(problem, batch, steps, **kwargs)
+
+
 def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
                         cone: str = "positive") -> ExperimentResult:
     """Evolve cone members and record the worst signed excursion per trial."""
     sign = cone_sign(cfg.family, cone)
-    prob = replace(problem, steps=steps_for_horizon(problem.kernel, cfg.horizon))
+    phis = (make_initial_history(problem.operator, problem.r, problem.m,
+                                 cfg.family, cfg.amplitude,
+                                 np.random.default_rng(cfg.seed + i), sign=sign)
+            for i in range(cfg.trials))
+    recs = _evolve_batched(problem, phis,
+                           steps_for_horizon(problem.kernel, cfg.horizon),
+                           stride=cfg.stride)
 
-    def trial(i: int) -> dict:
-        rng = np.random.default_rng(cfg.seed + i)
-        phi = make_initial_history(problem.operator, problem.r, problem.m,
-                                   cfg.family, cfg.amplitude, rng, sign=sign)
-        rec = evolve(prob, phi, stride=cfg.stride)
-        if cone == "positive":
-            extreme = rec.min_overall
-            violation = max(0.0, -extreme)
-        else:
-            extreme = rec.max_overall
-            violation = max(0.0, extreme)
-        return {"trial": i, "extreme": extreme, "violation": violation,
-                "passed": violation <= CONE_TOL}
-
-    rows = [trial(i) for i in range(cfg.trials)]
+    rows = []
+    for i, rec in enumerate(recs):
+        extreme = rec.min_overall if cone == "positive" else rec.max_overall
+        violation = max(0.0, -sign * extreme)
+        rows.append({"trial": i, "extreme": extreme, "violation": violation,
+                     "passed": violation <= CONE_TOL})
     max_violation = max(row["violation"] for row in rows)
     passed = all(row["passed"] for row in rows)
     summary = {
         "cone": cone,
-        "variant": prob.variant.value,
+        "variant": problem.variant.value,
         "tolerance": CONE_TOL,
         "max_violation": max_violation,
         "trials": cfg.trials,
@@ -201,31 +209,29 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
     sign = cone_sign(cfg.family, cone)
     one_sided = KernelVariant.P if cone == "positive" else KernelVariant.N
     steps = steps_for_horizon(problem.kernel, cfg.horizon)
-    prob_full = replace(problem, variant=KernelVariant.FULL, steps=steps)
-    prob_side = replace(problem, variant=one_sided, steps=steps)
     op = problem.operator
+    witness = include_witness and cone == "positive"
+    # the trials, then the witness datum drawn with seed + trials
+    phis = [make_initial_history(op, problem.r, problem.m, cfg.family,
+                                 cfg.amplitude, np.random.default_rng(cfg.seed + i),
+                                 sign=sign)
+            for i in range(cfg.trials + witness)]
+    if witness:
+        phis[-1] = _negate_node(phis[-1], cfg.amplitude)
+    runs = [_evolve_batched(replace(problem, variant=variant), phis, steps,
+                            stride=cfg.stride, record_fields=True)
+            for variant in (KernelVariant.FULL, one_sided)]
 
-    def pair_distance(phi: HistorySegment) -> float:
-        rec_a = evolve(prob_full, phi, stride=cfg.stride, record_fields=True)
-        rec_b = evolve(prob_side, phi, stride=cfg.stride, record_fields=True)
+    def pair_distance(rec_a, rec_b) -> float:
         diff = rec_a.fields - rec_b.fields
         return float(np.sqrt(op.h_x * (diff * diff).sum(axis=1)).max())
 
-    def trial(i: int) -> dict:
-        rng = np.random.default_rng(cfg.seed + i)
-        phi = make_initial_history(op, problem.r, problem.m, cfg.family,
-                                   cfg.amplitude, rng, sign=sign)
-        dist = pair_distance(phi)
-        return {"trial": i, "distance": dist, "informational": False,
-                "passed": dist == 0.0}
-
-    rows = [trial(i) for i in range(cfg.trials)]
+    dists = [pair_distance(rec_a, rec_b) for rec_a, rec_b in zip(*runs)]
+    rows = [{"trial": i, "distance": dist, "informational": False,
+             "passed": dist == 0.0} for i, dist in enumerate(dists[:cfg.trials])]
     witness_distance = None
-    if include_witness and cone == "positive":
-        rng = np.random.default_rng(cfg.seed + cfg.trials)
-        phi = make_initial_history(op, problem.r, problem.m, cfg.family,
-                                   cfg.amplitude, rng, sign=sign)
-        witness_distance = pair_distance(_negate_node(phi, cfg.amplitude))
+    if witness:
+        witness_distance = dists[-1]
         rows.append({"trial": -1, "distance": witness_distance,
                      "informational": True, "passed": True})
     regular = [row for row in rows if not row["informational"]]
@@ -381,25 +387,28 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
             "attraction precondition failed: A4/A5 must pass for variant p "
             f"at N={N}")
     op = problem.operator
-    prob = replace(problem, variant=KernelVariant.P,
-                   steps=steps_for_horizon(problem.kernel, cfg.horizon))
     alpha_min = cfg.alpha_min if cfg.alpha_min is not None else report.mu / 2.0
 
-    def trial(i: int) -> dict:
+    def pair(i: int):
         rng = np.random.default_rng(cfg.seed + i)
         phi1 = make_initial_history(op, problem.r, problem.m, cfg.family,
                                     cfg.amplitude, rng)
         pert = _high_mode_perturbation(op, N, cfg.amplitude, rng)
-        phi2 = HistorySegment(operator=op, r=problem.r, m=problem.m,
-                              values=phi1.values + pert[None, :])
-        rec1 = evolve(prob, phi1, stride=cfg.stride, record_fields=True)
-        rec2 = evolve(prob, phi2, stride=cfg.stride, record_fields=True)
+        return phi1, HistorySegment(operator=op, r=problem.r, m=problem.m,
+                                    values=phi1.values + pert[None, :])
+
+    recs = _evolve_batched(replace(problem, variant=KernelVariant.P),
+                           (phi for i in range(cfg.trials) for phi in pair(i)),
+                           steps_for_horizon(problem.kernel, cfg.horizon),
+                           stride=cfg.stride, record_fields=True)
+
+    def trial(i: int, rec1, rec2) -> dict:
         diff = rec1.fields - rec2.fields
         full2 = op.h_x * (diff * diff).sum(axis=1)
         if full2[0] == 0.0:
             return {"trial": i, "status": "skipped", "alpha_hat": None,
                     "r2": None, "q0": 0.0, "cone_entry_t": None, "n_window": 0}
-        low = np.stack([forward(op, GridField(d)).coeffs[:N] for d in diff])
+        low = forward(op, GridField(diff)).coeffs[:, :N]
         p2 = (low * low).sum(axis=1)
         q = np.sqrt(np.maximum(full2 - p2, 0.0))
         pn = np.sqrt(p2)
@@ -424,7 +433,8 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
                 "r2": None, "q0": float(q[0]), "cone_entry_t": None,
                 "n_window": n_window}
 
-    rows = [trial(i) for i in range(cfg.trials)]
+    # zip(recs, recs) takes the records two at a time: (phi1, phi2) of a pair
+    rows = [trial(i, rec1, rec2) for i, (rec1, rec2) in enumerate(zip(recs, recs))]
     fits = [row for row in rows if row["status"] == "fit"]
     slaved = [row for row in rows if row["status"] == "slaved"]
     inconclusive = [row for row in rows if row["status"] == "inconclusive"]

@@ -109,32 +109,34 @@ def make_constant_kernel(r: float, m: int, plus_integral: float,
                       M_xi=M_xi)
 
 
-def clip_gate(norm: float) -> float:
-    """The saturation gate min(norm, 1)."""
-    return norm if norm < 1.0 else 1.0
+def clip_gate(norm):
+    """The saturation gate min(norm, 1), elementwise; NaN clips to 1."""
+    return np.fmin(norm, 1.0)
 
 
-def sign_masses(values: np.ndarray, h_x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-snapshot masses int v_plus dx and int (-v_minus) dx along the last axis.
+def sign_masses(values: np.ndarray, h_x: float) -> np.ndarray:
+    """Per-snapshot masses int v_plus dx and int (-v_minus) dx along the last
+    axis, stacked on a new first axis of length 2.
 
     These expressions fix the bits of the solver's gates, so eval_xi and the
     solver's rolling caches both call this function.
     """
-    return (h_x * np.maximum(values, 0.0).sum(axis=-1),
-            h_x * (-np.minimum(values, 0.0)).sum(axis=-1))
+    return h_x * np.array([np.maximum(values, 0.0).sum(axis=-1),
+                           (-np.minimum(values, 0.0)).sum(axis=-1)])
 
 
-def gates(tw: np.ndarray, w_plus: np.ndarray, w_minus: np.ndarray) -> tuple[float, float]:
+def gates(tw: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Clipped gates (s_plus, s_minus) = min(||v_pm||_L1L1, 1) from the
-    trapezoid weights and the per-snapshot sign masses."""
-    return (clip_gate(float(np.dot(tw, w_plus))),
-            clip_gate(float(np.dot(tw, w_minus))))
+    trapezoid weights and the (2, ..., m+1) sign masses; the gates have shape
+    (2, ...).  Each is a (1, m+1) @ (m+1,) matmul, which has the bits of
+    np.dot(tw, w), so a stack of windows gets the bits of one window."""
+    return clip_gate(np.matmul(masses[..., None, :], tw)[..., 0])
 
 
-def combine_profiles(spec: KernelSpec, s_plus: float, s_minus: float,
+def combine_profiles(spec: KernelSpec, s_plus, s_minus,
                      variant: KernelVariant) -> np.ndarray:
-    """xi(theta_j) for given gate values; its two callers are eval_xi and the
-    solver's forcing."""
+    """xi(theta_j) for given gate values (scalars, or (B, 1) stacks giving
+    (B, m+1)); its two callers are eval_xi and the solver's forcing."""
     if variant is KernelVariant.P:
         return spec.xi_plus * s_plus
     if variant is KernelVariant.N:
@@ -151,7 +153,7 @@ def eval_xi(spec: KernelSpec, v: HistorySegment, variant=KernelVariant.FULL) -> 
             f"(r={spec.r}, m={spec.m})")
     return combine_profiles(
         spec, *gates(theta_weights(spec.r, spec.m),
-                     *sign_masses(v.values, v.operator.h_x)), variant)
+                     sign_masses(v.values, v.operator.h_x)), variant)
 
 
 def l11_constant(spec: KernelSpec, variant=KernelVariant.FULL) -> float:

@@ -14,7 +14,7 @@ with F the delay forcing frozen at the step start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.fft import dst, idst
@@ -24,24 +24,21 @@ from .history import HistorySegment, theta_weights
 from .kernel import (KernelSpec, KernelVariant, _as_variant, combine_profiles,
                      gates, sign_masses)
 from .nonlinear import NonlinearitySpec, b_eval
-from .spectral import GridField, OperatorSpec, forward, full_discrete_eigenvalues
+from .spectral import (GridField, OperatorSpec, field_l2_norm, forward,
+                       full_discrete_eigenvalues)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Operator, kernel, nonlinearity, and time-stepping layout for one run."""
+    """Operator, kernel, nonlinearity, and kernel variant of a run."""
 
     operator: OperatorSpec
     kernel: KernelSpec
     nonlinearity: NonlinearitySpec
     variant: KernelVariant = KernelVariant.FULL
-    steps: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "variant", _as_variant(self.variant))
-        if not (isinstance(self.steps, int) and not isinstance(self.steps, bool)
-                and self.steps >= 0):
-            raise ContractViolation("steps must be an int >= 0")
         if not self.nonlinearity.constants_certified:
             raise CertificationError(
                 "nonlinearity constants must be certified before use")
@@ -71,58 +68,55 @@ def steps_for_horizon(kernel: KernelSpec, T: float) -> int:
 
 
 class _Engine:
-    """Rolling-cache stepper behind ``evolve``: the history ring plus the
-    per-snapshot b values and sign masses the forcing needs."""
+    """Lockstep stepper behind ``evolve``: the current rows ``u`` (B, n_x) plus
+    mirror rings of 2(m+1) slots for the per-snapshot b values and sign masses
+    the forcing needs.  A new snapshot goes to slots ``head`` and ``head + m + 1``,
+    so slots ``head:head + m + 1`` always hold the window, oldest first."""
 
-    def __init__(self, problem: ProblemSpec, phi: HistorySegment):
-        if phi.operator != problem.operator:
-            raise GridMismatch("initial history uses a different operator grid")
-        if phi.m != problem.m or phi.r != problem.r:
-            raise GridMismatch("initial history window does not match the kernel")
+    def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment]):
+        for phi in phis:
+            if phi.operator != problem.operator:
+                raise GridMismatch("initial history uses a different operator grid")
+            if phi.m != problem.m or phi.r != problem.r:
+                raise GridMismatch("initial history window does not match the kernel")
         op = problem.operator
         self.problem = problem
-        self.h_x = op.h_x
-        self.values = phi.values.copy()
         self.tw = theta_weights(problem.r, problem.m)
-        # per-snapshot caches, rolled in lockstep with the history ring;
+        values = np.stack([phi.values for phi in phis])
+        self.u = values[:, -1].copy()
         # overflow in b on absurd data surfaces as IntegrationFailure later
         with np.errstate(over="ignore", invalid="ignore"):
-            self.b_rows = b_eval(problem.nonlinearity, self.values)
-        self.w_plus, self.w_minus = sign_masses(self.values, self.h_x)
+            b_rows = b_eval(problem.nonlinearity, values)
+        masses = sign_masses(values, op.h_x)
+        self.b_rows = np.concatenate([b_rows, b_rows], axis=1)
+        self.masses = np.concatenate([masses, masses], axis=-1)
+        self.head = 0
         lam = full_discrete_eigenvalues(op)
         h = problem.h
         self.E = np.exp(-lam * h)
         self.G = -np.expm1(-lam * h) / lam
-        self.step_count = 0
-
-    def current(self) -> np.ndarray:
-        return self.values[-1]
 
     def forcing(self) -> np.ndarray:
+        """(B, n_x) delay forcing of the current windows.  Each row is a
+        (1, m+1) @ (m+1, n_x) matmul, the product ``delay_term`` takes."""
+        win = slice(self.head, self.head + self.problem.m + 1)
         xi = combine_profiles(self.problem.kernel,
-                              *gates(self.tw, self.w_plus, self.w_minus),
+                              *gates(self.tw, self.masses[..., win])[..., None],
                               self.problem.variant)
-        return (self.tw * xi) @ self.b_rows
+        return np.matmul((self.tw * xi)[:, None, :], self.b_rows[:, win])[:, 0]
 
     def advance(self) -> np.ndarray:
-        # overflow/invalid warnings are redundant: the finiteness check below
-        # turns any blow-up into IntegrationFailure
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = self.forcing()
-            a = dst(self.values[-1], type=2)
-            u_new = idst(self.E * a + self.G * dst(F, type=2), type=2)
-        self.step_count += 1
-        if not np.isfinite(u_new).all():
-            raise IntegrationFailure(self.step_count)
-        self.values[:-1] = self.values[1:]
-        self.values[-1] = u_new
-        self.b_rows[:-1] = self.b_rows[1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.b_rows[-1] = b_eval(self.problem.nonlinearity, u_new)
-        self.w_plus[:-1] = self.w_plus[1:]
-        self.w_minus[:-1] = self.w_minus[1:]
-        self.w_plus[-1], self.w_minus[-1] = sign_masses(u_new, self.h_x)
-        return u_new
+        """Step every row once and return the new current rows.  A row that
+        goes non-finite stays in the stack; the caller checks finiteness."""
+        # one DST call transforms both the rows and their forcing
+        a, f = dst(np.array([self.u, self.forcing()]), type=2)
+        self.u = idst(self.E * a + self.G * f, type=2)
+        # the new snapshot replaces the oldest one, in both mirror slots
+        slots = slice(self.head, None, self.problem.m + 1)
+        self.b_rows[:, slots] = b_eval(self.problem.nonlinearity, self.u)[:, None]
+        self.masses[..., slots] = sign_masses(self.u, self.problem.operator.h_x)[..., None]
+        self.head = (self.head + 1) % (self.problem.m + 1)
+        return self.u
 
 
 @dataclass(frozen=True)
@@ -163,13 +157,19 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
-def evolve(problem: ProblemSpec, phi: HistorySegment, stride: int = 10,
-           record_modes: Optional[int] = None,
-           record_fields: bool = False) -> TrajectoryRecord:
-    """Run ``problem.steps`` steps, sampling every ``stride`` steps.
+def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
+           stride: int = 10, record_modes: Optional[int] = None,
+           record_fields: bool = False) -> list[TrajectoryRecord]:
+    """Run ``steps`` steps from every history in ``phis`` in lockstep,
+    sampling every ``stride`` steps; returns one record per history.
 
-    Deterministic: identical inputs produce bitwise-identical records.
+    Deterministic and batch invariant: each record is bitwise the record of a
+    batch of one.  A row whose state goes non-finite is left behind while the
+    others keep stepping; at the end the IntegrationFailure of the lowest
+    failed row is raised, the one a loop over the histories would raise first.
     """
+    if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
+        raise ContractViolation("steps must be an int >= 0")
     if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
         raise ContractViolation("stride must be an int >= 1")
     op = problem.operator
@@ -178,40 +178,49 @@ def evolve(problem: ProblemSpec, phi: HistorySegment, stride: int = 10,
     if not 1 <= record_modes <= op.modes:
         raise ContractViolation("record_modes must be in 1..K")
 
-    eng = _Engine(problem, phi)
+    eng = _Engine(problem, phis)
     h = problem.h
-    times, lows, highs, fulls, mins = [], [], [], [], []
-    fields = [] if record_fields else None
+    times, samples, fields = [], [], []
 
-    def sample(k: int):
-        u = eng.current()
-        a = forward(op, GridField(u)).coeffs[:record_modes]
-        # a blowing-up state may overflow its norms; advance reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            full = float(np.sqrt(op.h_x * np.dot(u, u)))
-            high2 = full * full - float(np.dot(a, a))
+    def sample(k: int, u: np.ndarray, u_min: np.ndarray):
+        field = GridField(u)
+        a = forward(op, field).coeffs[:, :record_modes]
+        full = field_l2_norm(op, field)
+        # per row, the dot product np.dot(a, a) takes
+        high2 = full * full - np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
         times.append(k * h)
-        lows.append(a)
-        highs.append(np.sqrt(max(high2, 0.0)))
-        fulls.append(full)
-        mins.append(float(u.min()))
-        if fields is not None:
-            fields.append(u.copy())
+        samples.append((a, np.sqrt(np.maximum(high2, 0.0)), full, u_min))
+        if record_fields:
+            fields.append(u)
 
-    u0 = eng.current()
-    min_overall = float(u0.min())
-    max_overall = float(u0.max())
-    sample(0)
-    for k in range(1, problem.steps + 1):
-        u = eng.advance()
-        min_overall = min(min_overall, float(u.min()))
-        max_overall = max(max_overall, float(u.max()))
-        if k % stride == 0 or k == problem.steps:
-            sample(k)
+    u = eng.u
+    min_overall, max_overall = u.min(axis=1), u.max(axis=1)
+    failed_at = np.zeros(len(phis), dtype=int)  # first non-finite step, 0: none
+    # overflow/invalid warnings are redundant: the finiteness check turns
+    # any blow-up into IntegrationFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample(0, u, min_overall)
+        for k in range(1, steps + 1):
+            u = eng.advance()
+            if not np.isfinite(u).all():
+                failed_at[(failed_at == 0) & ~np.isfinite(u).all(axis=1)] = k
+                if failed_at[0]:  # no lower row is left to fail first
+                    break
+            # Python's min()/max() semantics, signed zeros included
+            u_min, u_max = u.min(axis=1), u.max(axis=1)
+            min_overall = np.where(u_min < min_overall, u_min, min_overall)
+            max_overall = np.where(u_max > max_overall, u_max, max_overall)
+            if k % stride == 0 or k == steps:
+                sample(k, u, u_min)
+    for row, k in enumerate(failed_at):
+        if k:
+            raise IntegrationFailure(k, k * h, row)
 
-    return TrajectoryRecord(
-        times=np.asarray(times), low_modes=np.asarray(lows),
-        high_norm=np.asarray(highs), full_norm=np.asarray(fulls),
-        min_value=np.asarray(mins), min_overall=min_overall,
-        max_overall=max_overall, stride=stride,
-        fields=None if fields is None else np.asarray(fields))
+    # per sample (B, ...) arrays -> per row (n_samples, ...) arrays
+    lows, highs, fulls, mins = (np.stack(x, axis=1) for x in zip(*samples))
+    fields = np.stack(fields, axis=1) if record_fields else [None] * len(phis)
+    return [TrajectoryRecord(
+        times=np.asarray(times), low_modes=lows[i], high_norm=highs[i],
+        full_norm=fulls[i], min_value=mins[i], min_overall=float(min_overall[i]),
+        max_overall=float(max_overall[i]), stride=stride, fields=fields[i])
+        for i in range(len(phis))]

@@ -61,36 +61,36 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class GridField:
-    """A real field sampled at the n_x cell centers."""
+    """A real field sampled at the n_x cell centers; 2-D values stack fields as rows."""
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
-        _require(arr.ndim == 1 and arr.size >= 1, "GridField values must be a 1-D array")
+        _require(arr.ndim in (1, 2) and arr.size >= 1, "GridField values must be 1-D or 2-D")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
 class ModeVector:
-    """Coefficients against the L2-normalized sine modes e_1 .. e_K."""
+    """Coefficients against the L2-normalized sine modes e_1 .. e_K; 2-D stacks rows."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
-        _require(arr.ndim == 1 and arr.size >= 1, "ModeVector coeffs must be a 1-D array")
+        _require(arr.ndim in (1, 2) and arr.size >= 1, "ModeVector coeffs must be 1-D or 2-D")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     def __len__(self) -> int:
-        return self.coeffs.size
+        return self.coeffs.shape[-1]
 
 
 def analytic_eigenvalues(spec: OperatorSpec) -> np.ndarray:
@@ -120,30 +120,33 @@ def eigenfunction(spec: OperatorSpec, k: int) -> GridField:
 
 
 def forward(spec: OperatorSpec, field: GridField) -> ModeVector:
-    """Midpoint-quadrature coefficients a_k = <field, e_k>_h for k = 1 .. K."""
+    """Midpoint-quadrature coefficients a_k = <field, e_k>_h for k = 1 .. K, per row."""
     if len(field) != spec.grid_points:
         raise GridMismatch(
             f"field has {len(field)} samples, operator grid has {spec.grid_points}")
     scale = spec.h_x * np.sqrt(2.0 / spec.domain_length) / 2.0
-    coeffs = scale * dst(field.values, type=2)[: spec.modes]
+    coeffs = scale * dst(field.values, type=2)[..., : spec.modes]
     return ModeVector(coeffs)
 
 
 def inverse(spec: OperatorSpec, modes: ModeVector) -> GridField:
-    """Exact cell-center samples of sum_k coeffs_k e_k."""
+    """Exact cell-center samples of sum_k coeffs_k e_k, per row."""
     if len(modes) != spec.modes:
         raise GridMismatch(
             f"mode vector has {len(modes)} coefficients, operator keeps {spec.modes}")
-    raw = np.zeros(spec.grid_points)
-    raw[: spec.modes] = modes.coeffs * (2.0 / (spec.h_x * np.sqrt(2.0 / spec.domain_length)))
+    raw = np.zeros(modes.coeffs.shape[:-1] + (spec.grid_points,))
+    raw[..., : spec.modes] = modes.coeffs * (2.0 / (spec.h_x * np.sqrt(2.0 / spec.domain_length)))
     return GridField(idst(raw, type=2))
 
 
-def field_l2_norm(spec: OperatorSpec, field: GridField) -> float:
-    """Midpoint-quadrature L2 norm sqrt(h_x * sum(u^2))."""
+def field_l2_norm(spec: OperatorSpec, field: GridField):
+    """Midpoint-quadrature L2 norm sqrt(h_x * sum(u^2)); an array of them for
+    a stack, each row a (1, n_x) @ (n_x, 1) matmul with the bits of np.dot."""
     if len(field) != spec.grid_points:
         raise GridMismatch("field/operator grid size mismatch")
     v = field.values
+    if v.ndim == 2:
+        return np.sqrt(spec.h_x * np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
     return float(np.sqrt(spec.h_x * np.dot(v, v)))
 
 

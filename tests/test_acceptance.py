@@ -183,11 +183,10 @@ def test_criterion_6_exact_coincidence(headline_problem, capsys):
 def test_criterion_7_solver_validation(op_headline, op_pi, nl, capsys):
     # pure-linear closed form
     ks0 = s.make_constant_kernel(0.5, 50, 0.0, 0.0, 1e-3)
-    prob = s.ProblemSpec(operator=op_headline, kernel=ks0, nonlinearity=nl,
-                         steps=200)
+    prob = s.ProblemSpec(operator=op_headline, kernel=ks0, nonlinearity=nl)
     phi = s.constant_history(op_headline, 0.5, 50,
                              s.eigenfunction(op_headline, 1))
-    rec = s.evolve(prob, phi, stride=1, record_fields=True)
+    [rec] = s.evolve(prob, [phi], 200, stride=1, record_fields=True)
     lam1 = full_discrete_eigenvalues(op_headline)[0]
     err_lin = 0.0
     for idx in (1, 50, 200):
@@ -199,12 +198,12 @@ def test_criterion_7_solver_validation(op_headline, op_pi, nl, capsys):
     finals = {}
     for m in (25, 50, 100):
         ks = s.make_constant_kernel(0.1, m, 0.03, 0.02, 0.8)
-        p2 = s.ProblemSpec(operator=op_pi, kernel=ks, nonlinearity=nl,
-                           steps=s.steps_for_horizon(ks, 2.0))
+        p2 = s.ProblemSpec(operator=op_pi, kernel=ks, nonlinearity=nl)
+        steps = s.steps_for_horizon(ks, 2.0)
         phi2 = s.make_initial_history(op_pi, 0.1, m, "random_positive_fourier",
                                       1.0, np.random.default_rng(43))
-        finals[m] = s.evolve(p2, phi2, stride=p2.steps, record_fields=True) \
-            .fields[-1]
+        finals[m] = s.evolve(p2, [phi2], steps, stride=steps,
+                             record_fields=True)[0].fields[-1]
     e_coarse = float(np.abs(finals[25] - finals[100]).max())
     e_fine = float(np.abs(finals[50] - finals[100]).max())
     order = float(np.log2(e_coarse / e_fine))

@@ -471,6 +471,7 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
     (["simulate", "--horizon", "0.001"], "simulation.horizon"),
     (["experiment", "coincidence", "--horizon", "0.001"], "experiment.horizon"),
     (["experiment", "attraction", "--horizon", "0.001"], "experiment.horizon"),
+    (["experiment", "lipschitz", "--horizon", "0.001"], "experiment.horizon"),
 ])
 def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))

@@ -75,6 +75,19 @@ def test_cone_invariance_both_cones(pi_problem, small_cfg):
     assert all(row["extreme"] <= 0.0 for row in neg.trials)
 
 
+def test_cone_invariance_batches_bitwise(headline_problem, monkeypatch):
+    # 70 trials cross the 64-row batch boundary; batches of one give the
+    # same rows
+    cfg = s.ExperimentConfig(trials=70, seed=11, horizon=0.5)
+    for cone in ("positive", "negative"):
+        batched = s.run_cone_invariance(headline_problem, cfg, cone=cone)
+        with monkeypatch.context() as mp:
+            mp.setattr(s.experiments, "BATCH_ROWS", 1)
+            single = s.run_cone_invariance(headline_problem, cfg, cone=cone)
+        assert len(batched.trials) == 70
+        assert repr(batched.to_dict()) == repr(single.to_dict())
+
+
 def test_cone_invariance_rejects_signed_family(pi_problem, small_cfg):
     import dataclasses
     cfg = dataclasses.replace(small_cfg, family="random_signed_fourier")

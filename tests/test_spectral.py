@@ -79,6 +79,19 @@ def test_forward_inverse_roundtrip_on_span(op_headline):
     assert np.max(np.abs(u2.values - u.values)) <= 1e-12
 
 
+def test_stacked_transforms_match_rows_bitwise(op_headline):
+    # a 2-D field or mode vector is a stack of rows, each transformed alone
+    rows = np.random.default_rng(3).normal(size=(3, op_headline.grid_points))
+    a = s.forward(op_headline, s.GridField(rows)).coeffs
+    u = s.inverse(op_headline, s.ModeVector(a)).values
+    norms = s.field_l2_norm(op_headline, s.GridField(rows))
+    for i, row in enumerate(rows):
+        a_i = s.forward(op_headline, s.GridField(row)).coeffs
+        assert np.array_equal(a[i], a_i)
+        assert np.array_equal(u[i], s.inverse(op_headline, s.ModeVector(a_i)).values)
+        assert norms[i] == s.field_l2_norm(op_headline, s.GridField(row))
+
+
 def test_forward_of_eigenfunction_is_unit_vector(op_headline):
     for k in (1, 3, 8):
         a = s.forward(op_headline, s.eigenfunction(op_headline, k)).coeffs
