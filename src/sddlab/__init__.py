@@ -10,9 +10,9 @@ experiment runners (cone invariance, coincidence, Lipschitz sampling,
 attraction rate).
 """
 
-from .conditions import (ConditionReport, SynthesisResult, bound3_check,
-                         condition_report, gap_check, lipschitz_M1,
-                         m1_constant, remark_caps, synthesize_params)
+from .conditions import (ConditionReport, SynthesisResult, condition_report,
+                         lipschitz_M1, m1_constant, remark_caps,
+                         synthesize_params)
 from .errors import (CapViolation, CertificationError, ConfigError,
                      ContractViolation, GridMismatch, IntegrationFailure)
 from .experiments import (ExperimentConfig, ExperimentResult, emit,
@@ -23,8 +23,8 @@ from .history import (HistorySegment, constant_history, norm_C, norm_L1L1,
                       theta_weights)
 from .kernel import (KernelSpec, KernelVariant, eval_xi, l11_constant,
                      make_constant_kernel)
-from .nonlinear import (NonlinearitySpec, b_eval, b_prime, bounded_custom,
-                        certified, certify_constants, delay_term, nicholson)
+from .nonlinear import (NonlinearitySpec, b_eval, b_prime, certified,
+                        certify_constants, delay_term, nicholson)
 from .solver import ProblemSpec, TrajectoryRecord, evolve, steps_for_horizon
 from .spectral import (GridField, ModeVector, OperatorSpec,
                        analytic_eigenvalues, eigenfunction, field_l2_norm,
@@ -38,10 +38,10 @@ __all__ = [
     "GridMismatch", "HistorySegment", "IntegrationFailure", "KernelSpec",
     "KernelVariant", "ModeVector", "NonlinearitySpec", "OperatorSpec",
     "ProblemSpec", "SynthesisResult", "TrajectoryRecord",
-    "analytic_eigenvalues", "b_eval", "b_prime", "bound3_check",
-    "bounded_custom", "certified", "certify_constants", "condition_report",
-    "constant_history", "delay_term", "eigenfunction", "emit", "eval_xi",
-    "evolve", "field_l2_norm", "forward", "gap_check", "hat_project",
+    "analytic_eigenvalues", "b_eval", "b_prime", "certified",
+    "certify_constants", "condition_report", "constant_history",
+    "delay_term", "eigenfunction", "emit", "eval_xi", "evolve",
+    "field_l2_norm", "forward", "hat_project",
     "inverse", "l11_constant", "lipschitz_M1", "m1_constant",
     "make_constant_kernel", "make_initial_history", "nicholson", "norm_C",
     "norm_L1L1", "remark_caps", "run_attraction_rate", "run_coincidence",

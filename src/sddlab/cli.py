@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .conditions import (condition_report, default_mxi_grid, default_r_grid,
-                         synthesize_params)
+from .conditions import condition_report, search_grid, synthesize_params
 from .errors import (CertificationError, ConfigError, ContractViolation,
                      IntegrationFailure)
 from .experiments import (FAMILIES, ExperimentConfig, cone_sign, emit,
@@ -31,6 +29,9 @@ from .solver import ProblemSpec, evolve, steps_for_horizon
 from .spectral import OperatorSpec
 
 _REQUIRED = object()
+
+# the most trial-steps one command may run: about 3 h at 10 us per trial-step
+MAX_TRIAL_STEPS = 10**9
 
 # section -> key -> (JSON type, default or _REQUIRED, bound).  A default of
 # None makes the key nullable.  Bounds are (op, limit) for numbers and
@@ -165,8 +166,7 @@ def validate_config(raw) -> dict:
     nl = raw["nonlinearity"]
     if isinstance(nl, dict) and "kind" in nl and nl["kind"] != "nicholson":
         raise ConfigError("nonlinearity.kind",
-                          "only 'nicholson' is constructible from a config file "
-                          "(custom nonlinearities need a Python callable)")
+                          "only 'nicholson' is constructible from a config file")
     variant = raw.get("variant", "full")
     if variant not in ("full", "p", "n"):
         raise ConfigError("variant", "must be one of ['full', 'p', 'n']")
@@ -212,6 +212,20 @@ def _at(key_path: str, fn, *args, **kwargs):
         raise ConfigError(key_path, str(exc)) from None
 
 
+def _run_steps(section: str, kernel: KernelSpec, horizon: float,
+               trials: int = 1) -> int:
+    """Steps for ``horizon``, rejected when trials x steps exceeds
+    MAX_TRIAL_STEPS: at the horizon if one trial is too long, else at the
+    trials."""
+    steps = _at(f"{section}.horizon", steps_for_horizon, kernel, horizon)
+    if trials * max(steps, 1) > MAX_TRIAL_STEPS:
+        key = "horizon" if steps > MAX_TRIAL_STEPS else "trials"
+        raise ConfigError(f"{section}.{key}",
+                          f"{trials} x {steps} trial-steps exceed "
+                          f"MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}")
+    return steps
+
+
 def build_problem(cfg: dict) -> ProblemSpec:
     op = OperatorSpec(**cfg["operator"])
     kc = cfg["kernel"]
@@ -255,23 +269,12 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _grid_from_flags(lo, hi, points, default_grid):
-    if lo is None and hi is None and points is None:
-        return default_grid()
-    lo = 1e-3 if lo is None else lo
-    hi = 10.0 if hi is None else hi
-    points = 60 if points is None else points
-    if not (lo > 0.0 and hi > lo and points >= 1):
-        raise ConfigError("grid", "need 0 < min < max and points >= 1")
-    return np.logspace(math.log10(lo), math.log10(hi), points)
-
-
 def cmd_synthesize(args) -> int:
     nl = certified(nicholson(args.p))
-    r_grid = _grid_from_flags(args.r_min, args.r_max, args.r_points,
-                              default_r_grid)
-    mxi_grid = _grid_from_flags(args.mxi_min, args.mxi_max, args.mxi_points,
-                                default_mxi_grid)
+    r_grid = _at("grid", search_grid, "r", args.r_min, args.r_max,
+                 args.r_points)
+    mxi_grid = _at("grid", search_grid, "M_xi", args.mxi_min, args.mxi_max,
+                   args.mxi_points)
     result = synthesize_params(args.low_modes, nl, args.domain_length,
                                margin=args.margin, r_grid=r_grid,
                                mxi_grid=mxi_grid)
@@ -297,8 +300,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulation", "missing required section for simulate")
     sim = cfg["simulation"]
     problem = build_problem(cfg)
-    steps = _at("simulation.horizon", steps_for_horizon, problem.kernel,
-                sim["horizon"])
+    steps = _run_steps("simulation", problem.kernel, sim["horizon"])
     init = sim["initial"]
     rng = np.random.default_rng(init["seed"])
     phi = make_initial_history(problem.operator, problem.r, problem.m,
@@ -333,7 +335,7 @@ def cmd_experiment(args) -> int:
     if args.name != "lipschitz":  # the runners check the family without a key
         first = "positive" if args.name == "attraction" else cones[0]
         _at("experiment.family", cone_sign, ecfg.family, first)
-    _at("experiment.horizon", steps_for_horizon, problem.kernel, ecfg.horizon)
+    _run_steps("experiment", problem.kernel, ecfg.horizon, ecfg.trials)
     if args.name == "cone-invariance":
         results = [run_cone_invariance(problem, ecfg, cone=c) for c in cones]
     elif args.name == "coincidence":

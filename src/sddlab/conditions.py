@@ -12,12 +12,15 @@ with l11 the variant's kernel L^{1,1} constant.  Checked conditions:
     bound3:  M1 <= (gap/8) exp(-(lambda_N + lambda_{N+1}) r / 2)
 
 bound3 is the mu-free packaging: it holds iff A5 holds at mu = gap/2.
+Each flag is a row of the FLAGS table, and ``evaluate_certificate`` computes
+every value and flag in one pass.
 A verdict is a certificate that the sufficient conditions hold for a variant;
 "neither_certified" never asserts nonexistence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,25 +57,6 @@ def lipschitz_M1(problem: ProblemSpec, variant=None) -> float:
                        problem.operator.domain_length)
 
 
-def gap_check(lambda_N: float, lambda_N1: float, mu: float, M1: float,
-              r: float) -> tuple[bool, bool, float]:
-    """(A4_pass, A5_pass, delta) at the given mu."""
-    if not mu > 0.0:
-        raise ContractViolation("mu must be > 0")
-    a4 = lambda_N1 - lambda_N >= 2.0 * mu
-    delta = (2.0 / mu) * M1 * np.exp((lambda_N + mu) * r)
-    a5 = (mu > 4.0 * M1) and (delta <= 0.5)
-    return bool(a4), bool(a5), float(delta)
-
-
-def bound3_check(lambda_N: float, lambda_N1: float, r: float,
-                 M1: float) -> tuple[float, bool]:
-    """(bound3, M1 <= bound3) with bound3 = (gap/8) exp(-(l_N + l_{N+1}) r / 2)."""
-    gap = lambda_N1 - lambda_N
-    bound3 = (gap / 8.0) * np.exp(-(lambda_N + lambda_N1) * r / 2.0)
-    return float(bound3), bool(M1 <= bound3)
-
-
 def remark_caps(lambda_N: float, lambda_N1: float, r: float, M_b: float,
                 L_b: float, M_xi: float, domain_length: float) -> dict:
     """Sufficient per-parameter caps that together imply bound3 for variant p.
@@ -96,59 +80,72 @@ def remark_caps(lambda_N: float, lambda_N1: float, r: float, M_b: float,
     }
 
 
-def certificate_values(*, lambda_N: float, lambda_N1: float, r: float, mu: float,
-                       M_b: float, L_b: float, M_xi: float, l11_p: float,
-                       l11_n: float, domain_length: float) -> dict:
-    """All certificate numbers and flags from scalar inputs (single source)."""
-    l11_full = max(l11_p, l11_n)
-    M1_p = m1_constant(r, L_b, M_xi, M_b, l11_p, domain_length)
-    M1_n = m1_constant(r, L_b, M_xi, M_b, l11_n, domain_length)
-    M1_full = m1_constant(r, L_b, M_xi, M_b, l11_full, domain_length)
-    A4, A5_p, delta_p = gap_check(lambda_N, lambda_N1, mu, M1_p, r)
-    bound3, b3_full = bound3_check(lambda_N, lambda_N1, r, M1_full)
-    _, b3_p = bound3_check(lambda_N, lambda_N1, r, M1_p)
-    _, b3_n = bound3_check(lambda_N, lambda_N1, r, M1_n)
-    caps = remark_caps(lambda_N, lambda_N1, r, M_b, L_b, M_xi, domain_length)
-    return {
-        "lambda_N": float(lambda_N),
-        "lambda_N1": float(lambda_N1),
-        "mu": float(mu),
-        "M1_full": float(M1_full),
-        "M1_p": float(M1_p),
-        "M1_n": float(M1_n),
-        "delta_p": float(delta_p),
-        "bound3": float(bound3),
-        "A4_pass": A4,
-        "A5_pass_p": A5_p,
-        "bound3_pass_full": b3_full,
-        "bound3_pass_p": b3_p,
-        "bound3_pass_n": b3_n,
-        "remark17_pass": bool(r <= caps["r_cap"]),
-        "remark18_pass": bool(l11_p <= caps["plus_cap"]),
-        "remark19_pass": bool(l11_n > caps["minus_floor"]),
-        "caps": caps,
+# flag -> the inequalities (lhs, rhs, strict) it is the AND of, each read as
+# lhs < rhs when strict and lhs <= rhs otherwise.  q holds the certificate
+# values, the inputs, the gap and the remark caps.  Row order is report order.
+FLAGS = (
+    ("A4_pass", lambda q: [(2.0 * q["mu"], q["gap"], False)]),
+    ("A5_pass_p", lambda q: [(4.0 * q["M1_p"], q["mu"], True),
+                             (q["delta_p"], 0.5, False)]),
+    ("bound3_pass_full", lambda q: [(q["M1_full"], q["bound3"], False)]),
+    ("bound3_pass_p", lambda q: [(q["M1_p"], q["bound3"], False)]),
+    ("bound3_pass_n", lambda q: [(q["M1_n"], q["bound3"], False)]),
+    ("remark17_pass", lambda q: [(q["r"], q["r_cap"], False)]),
+    ("remark18_pass", lambda q: [(q["l11_p"], q["plus_cap"], False)]),
+    ("remark19_pass", lambda q: [(q["minus_floor"], q["l11_n"], True)]),
+)
+
+# the flags of a PIM-only operating point: every row holds but the bounds of
+# the full kernel and of the minus branch
+PIM_ONLY = {flag: flag not in ("bound3_pass_full", "bound3_pass_n")
+            for flag, _ in FLAGS}
+
+
+def evaluate_certificate(*, lambda_N: float, lambda_N1: float, r: float,
+                         mu: float, M_b: float, L_b: float, M_xi: float,
+                         l11_p: float, l11_n: float,
+                         domain_length: float) -> tuple[dict, dict]:
+    """(values, flags) of the certificate at scalar inputs, in report order."""
+    def m1(l11):
+        return m1_constant(r, L_b, M_xi, M_b, l11, domain_length)
+
+    gap = lambda_N1 - lambda_N
+    M1_p = m1(l11_p)
+    values = {
+        "lambda_N": lambda_N,
+        "lambda_N1": lambda_N1,
+        "mu": mu,
+        "M1_full": m1(max(l11_p, l11_n)),
+        "M1_p": M1_p,
+        "M1_n": m1(l11_n),
+        "delta_p": (2.0 / mu) * M1_p * np.exp((lambda_N + mu) * r),
+        "bound3": (gap / 8.0) * np.exp(-(lambda_N + lambda_N1) * r / 2.0),
     }
+    values = {name: float(val) for name, val in values.items()}
+    q = {**values, "gap": gap, "r": r, "l11_p": l11_p, "l11_n": l11_n,
+         **remark_caps(lambda_N, lambda_N1, r, M_b, L_b, M_xi, domain_length)}
+    flags = {flag: all(lhs < rhs if strict else lhs <= rhs
+                       for lhs, rhs, strict in rows(q))
+             for flag, rows in FLAGS}
+    return values, flags
+
+
+def _verdict(flags: dict) -> str:
+    if flags["A4_pass"] and flags["bound3_pass_full"]:
+        return "IM_exists"
+    if flags["A4_pass"] and flags["bound3_pass_p"]:
+        return "PIM_only"
+    return "neither_certified"
 
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The certificate at low-mode count N: ``values`` and ``flags`` in
+    report order, the verdict they imply, and the inputs they came from."""
+
     N: int
-    lambda_N: float
-    lambda_N1: float
-    mu: float
-    M1_full: float
-    M1_p: float
-    M1_n: float
-    delta_p: float
-    bound3: float
-    A4_pass: bool
-    A5_pass_p: bool
-    bound3_pass_full: bool
-    bound3_pass_p: bool
-    bound3_pass_n: bool
-    remark17_pass: bool
-    remark18_pass: bool
-    remark19_pass: bool
+    values: dict
+    flags: dict
     verdict: str
     note: str = VERDICT_NOTE
     inputs: dict = field(default_factory=dict)
@@ -156,52 +153,25 @@ class ConditionReport:
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise ContractViolation(f"verdict must be one of {VERDICTS}")
-        if self.verdict == "IM_exists" and not (self.A4_pass and self.bound3_pass_full):
-            raise ContractViolation("IM_exists requires A4 and the full-kernel bound")
-        if self.verdict == "PIM_only" and not (
-                self.A4_pass and self.bound3_pass_p and not self.bound3_pass_full):
+        if self.verdict != _verdict(self.flags):
             raise ContractViolation(
-                "PIM_only requires A4 and the plus-branch bound with the full bound failing")
-        gap = self.lambda_N1 - self.lambda_N
-        if not 0.0 < self.mu <= gap / 2.0:
+                f"verdict {self.verdict} does not follow from the flags")
+        gap = self.values["lambda_N1"] - self.values["lambda_N"]
+        if not 0.0 < self.values["mu"] <= gap / 2.0:
             raise ContractViolation("mu must lie in (0, gap/2]")
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "lambda_N": self.lambda_N,
-            "lambda_N1": self.lambda_N1,
-            "mu": self.mu,
-            "M1_full": self.M1_full,
-            "M1_p": self.M1_p,
-            "M1_n": self.M1_n,
-            "delta_p": self.delta_p,
-            "bound3": self.bound3,
-            "flags": {
-                "A4_pass": self.A4_pass,
-                "A5_pass_p": self.A5_pass_p,
-                "bound3_pass_full": self.bound3_pass_full,
-                "bound3_pass_p": self.bound3_pass_p,
-                "bound3_pass_n": self.bound3_pass_n,
-                "remark17_pass": self.remark17_pass,
-                "remark18_pass": self.remark18_pass,
-                "remark19_pass": self.remark19_pass,
-            },
-            "verdict": self.verdict,
-            "note": self.note,
-            "inputs": self.inputs,
-        }
+        return {"N": self.N, **self.values, "flags": dict(self.flags),
+                "verdict": self.verdict, "note": self.note,
+                "inputs": self.inputs}
 
     def csv_rows(self) -> list[tuple[str, str]]:
-        rows = []
-        d = self.to_dict()
-        flags = d.pop("flags")
-        d.pop("inputs")
-        for key, val in d.items():
-            rows.append((key, repr(val) if isinstance(val, float) else str(val)))
-        for key, val in flags.items():
-            rows.append((key, str(val)))
-        return rows
+        """N, the values, verdict and note, then the flags."""
+        head = {"N": self.N, **self.values, "verdict": self.verdict,
+                "note": self.note}
+        return ([(key, repr(val) if isinstance(val, float) else str(val))
+                 for key, val in head.items()]
+                + [(flag, str(val)) for flag, val in self.flags.items()])
 
 
 def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> ConditionReport:
@@ -223,46 +193,26 @@ def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> C
     if not 0.0 < mu <= gap / 2.0:
         raise ContractViolation("mu must lie in (0, gap/2]")
 
-    nl = problem.nonlinearity
-    vals = certificate_values(
-        lambda_N=lam_N, lambda_N1=lam_N1, r=problem.r, mu=mu,
-        M_b=nl.M_b, L_b=nl.L_b, M_xi=problem.kernel.M_xi,
-        l11_p=l11_constant(problem.kernel, KernelVariant.P),
-        l11_n=l11_constant(problem.kernel, KernelVariant.N),
-        domain_length=op.domain_length)
-
-    if vals["A4_pass"] and vals["bound3_pass_full"]:
-        verdict = "IM_exists"
-    elif vals["A4_pass"] and vals["bound3_pass_p"]:
-        verdict = "PIM_only"
-    else:
-        verdict = "neither_certified"
-
+    nl, ks = problem.nonlinearity, problem.kernel
     inputs = {
         "domain_length": op.domain_length,
         "modes": op.modes,
         "r": problem.r,
         "m": problem.m,
-        "M_xi": problem.kernel.M_xi,
-        "l11_p": l11_constant(problem.kernel, KernelVariant.P),
-        "l11_n": l11_constant(problem.kernel, KernelVariant.N),
+        "M_xi": ks.M_xi,
+        "l11_p": l11_constant(ks, KernelVariant.P),
+        "l11_n": l11_constant(ks, KernelVariant.N),
         "M_b": nl.M_b,
         "L_b": nl.L_b,
-        "kind": nl.kind,
+        "kind": "nicholson",
         "p": nl.p,
     }
-    return ConditionReport(
-        N=N, lambda_N=lam_N, lambda_N1=lam_N1, mu=vals["mu"],
-        M1_full=vals["M1_full"], M1_p=vals["M1_p"], M1_n=vals["M1_n"],
-        delta_p=vals["delta_p"], bound3=vals["bound3"],
-        A4_pass=vals["A4_pass"], A5_pass_p=vals["A5_pass_p"],
-        bound3_pass_full=vals["bound3_pass_full"],
-        bound3_pass_p=vals["bound3_pass_p"],
-        bound3_pass_n=vals["bound3_pass_n"],
-        remark17_pass=vals["remark17_pass"],
-        remark18_pass=vals["remark18_pass"],
-        remark19_pass=vals["remark19_pass"],
-        verdict=verdict, inputs=inputs)
+    values, flags = evaluate_certificate(
+        lambda_N=lam_N, lambda_N1=lam_N1, mu=mu,
+        **{key: inputs[key] for key in ("r", "M_b", "L_b", "M_xi", "l11_p",
+                                        "l11_n", "domain_length")})
+    return ConditionReport(N=N, values=values, flags=flags,
+                           verdict=_verdict(flags), inputs=inputs)
 
 
 @dataclass(frozen=True)
@@ -281,12 +231,19 @@ class SynthesisResult:
         }
 
 
-def default_r_grid() -> np.ndarray:
-    return np.logspace(-3.0, 1.0, 60)
+# synthesis search grid -> (lo, hi, points): by default it is points values
+# log-spaced on [lo, hi]
+GRIDS = {"r": (1e-3, 10.0, 60), "M_xi": (1e-6, 10.0, 120)}
 
 
-def default_mxi_grid() -> np.ndarray:
-    return np.logspace(-6.0, 1.0, 120)
+def search_grid(name: str, lo=None, hi=None, points=None) -> np.ndarray:
+    """The log-spaced search grid ``name``; an end or count given as None
+    takes its GRIDS default."""
+    lo, hi, points = (default if val is None else val
+                      for val, default in zip((lo, hi, points), GRIDS[name]))
+    if not (lo > 0.0 and hi > lo and points >= 1):
+        raise ContractViolation("need 0 < min < max and points >= 1")
+    return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
 def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: float,
@@ -307,10 +264,12 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
         raise ContractViolation("domain_length must be finite and > 0")
     if not 0.0 <= margin < 1.0:
         raise ContractViolation("margin must lie in [0, 1)")
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    mxi_grid = default_mxi_grid() if mxi_grid is None else np.asarray(mxi_grid, dtype=float)
+    r_grid = search_grid("r") if r_grid is None else np.asarray(r_grid, dtype=float)
+    mxi_grid = (search_grid("M_xi") if mxi_grid is None
+                else np.asarray(mxi_grid, dtype=float))
     if r_grid.size == 0 or mxi_grid.size == 0:
         raise ContractViolation("search grids must be non-empty")
+    search = {"r_points": int(r_grid.size), "mxi_points": int(mxi_grid.size)}
 
     lam_N = (N * np.pi / L) ** 2
     lam_N1 = ((N + 1) * np.pi / L) ** 2
@@ -338,18 +297,13 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
             im = (1.0 - margin) * hi
             if im <= caps["minus_floor"]:
                 im = 0.5 * (caps["minus_floor"] + hi)
-            vals = certificate_values(
+            values, flags = evaluate_certificate(
                 lambda_N=lam_N, lambda_N1=lam_N1, r=float(r), mu=mu,
                 M_b=M_b, L_b=L_b, M_xi=float(M_xi),
                 l11_p=ip, l11_n=im, domain_length=L)
-            ok = (vals["A4_pass"] and vals["A5_pass_p"] and vals["bound3_pass_p"]
-                  and not vals["bound3_pass_full"] and not vals["bound3_pass_n"]
-                  and vals["remark17_pass"] and vals["remark18_pass"]
-                  and vals["remark19_pass"])
-            if not ok:
+            if flags != PIM_ONLY:
                 n_flag_reject += 1
                 continue
-            vals.pop("caps")
             return SynthesisResult(
                 feasible=True,
                 params={
@@ -361,8 +315,7 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                     "minus_integral": float(im),
                     "margin": margin,
                 },
-                certificate=vals,
-                search={"r_points": int(r_grid.size), "mxi_points": int(mxi_grid.size)})
+                certificate={**values, **flags}, search=search)
 
     # infeasible: name the binding constraint with the numbers that bind
     rejections = {
@@ -413,5 +366,4 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                 "every surveyed (r, M_xi) pair fails the r cap or has an "
                 "empty xi_minus window (minus_floor, r*M_xi/2]")
     return SynthesisResult(feasible=False, params=None, certificate=certificate,
-                           search={"r_points": int(r_grid.size),
-                                   "mxi_points": int(mxi_grid.size)})
+                           search=search)

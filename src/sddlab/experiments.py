@@ -382,12 +382,13 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
     """
     cone_sign(cfg.family, "positive")
     report = condition_report(problem, N)
-    if not (report.A4_pass and report.A5_pass_p):
+    if not (report.flags["A4_pass"] and report.flags["A5_pass_p"]):
         raise ContractViolation(
             "attraction precondition failed: A4/A5 must pass for variant p "
             f"at N={N}")
     op = problem.operator
-    alpha_min = cfg.alpha_min if cfg.alpha_min is not None else report.mu / 2.0
+    mu = report.values["mu"]
+    alpha_min = cfg.alpha_min if cfg.alpha_min is not None else mu / 2.0
 
     def pair(i: int):
         rng = np.random.default_rng(cfg.seed + i)
@@ -450,7 +451,7 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
         informational = True  # nothing conclusive either way
     summary = {
         "N": N,
-        "mu": report.mu,
+        "mu": mu,
         "alpha_min": alpha_min,
         "r2_min": R2_MIN,
         "median_alpha": median_alpha,

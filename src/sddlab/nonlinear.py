@@ -1,6 +1,6 @@
-"""Bounded birth-rate nonlinearities and the distributed delay term.
+"""The bounded birth-rate nonlinearity and the distributed delay term.
 
-The built-in family is the Nicholson-type law b(w) = p w^2 exp(-|w|), which is
+The nonlinearity is the Nicholson-type law b(w) = p w^2 exp(-|w|), which is
 bounded with bounded derivative.  Certification locates M_b = sup|b| and
 L_b = sup|b'| numerically (dense grid on [0, 20], then golden-section
 refinement); for this family the exact values are M_b = 4 p e^-2 at w = 2 and
@@ -10,7 +10,7 @@ L_b = 2 p (sqrt(2)-1) exp(sqrt(2)-2) at w = 2 - sqrt(2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,35 +19,24 @@ from .history import HistorySegment, theta_weights
 from .kernel import KernelSpec, KernelVariant, eval_xi
 from .spectral import GridField
 
-KINDS = ("nicholson", "bounded_custom")
-
 _SEARCH_HI = 20.0
 _GRID_POINTS = 20001
 
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """kind "nicholson" uses amplitude p; "bounded_custom" wraps a callable."""
+    """The Nicholson law with amplitude p; ``certified`` fills in M_b, L_b."""
 
-    kind: str
     p: float = 1.0
     M_b: Optional[float] = None
     L_b: Optional[float] = None
     constants_certified: bool = False
-    func: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ContractViolation(f"kind must be one of {KINDS}")
         p = float(self.p)
         if not (np.isfinite(p) and p > 0.0):
             raise ContractViolation("p must be finite and > 0")
         object.__setattr__(self, "p", p)
-        if self.kind == "bounded_custom":
-            if self.func is None:
-                raise ContractViolation("bounded_custom requires a callable")
-            if self.M_b is None or self.L_b is None:
-                raise ContractViolation("bounded_custom requires M_b and L_b")
         for name in ("M_b", "L_b"):
             val = getattr(self, name)
             if val is not None:
@@ -60,27 +49,17 @@ class NonlinearitySpec:
 
 
 def nicholson(p: float = 1.0) -> NonlinearitySpec:
-    return NonlinearitySpec(kind="nicholson", p=p)
-
-
-def bounded_custom(func: Callable, M_b: float, L_b: float) -> NonlinearitySpec:
-    """Wrap a user-supplied bounded map with caller-supplied constants."""
-    return NonlinearitySpec(kind="bounded_custom", M_b=M_b, L_b=L_b,
-                            constants_certified=True, func=func)
+    return NonlinearitySpec(p=p)
 
 
 def b_eval(spec: NonlinearitySpec, w):
     """Vectorized b(w)."""
     w = np.asarray(w, dtype=float)
-    if spec.kind == "nicholson":
-        return spec.p * w * w * np.exp(-np.abs(w))
-    return np.asarray(spec.func(w), dtype=float)
+    return spec.p * w * w * np.exp(-np.abs(w))
 
 
 def b_prime(spec: NonlinearitySpec, w):
-    """Vectorized b'(w) for the Nicholson family."""
-    if spec.kind != "nicholson":
-        raise ContractViolation("b_prime is only defined for kind 'nicholson'")
+    """Vectorized b'(w)."""
     w = np.asarray(w, dtype=float)
     # d/dw [w^2 e^{-|w|}] = (2w - sign(w) w^2) e^{-|w|}
     return spec.p * (2.0 * w - np.sign(w) * w * w) * np.exp(-np.abs(w))
@@ -126,9 +105,6 @@ def certify_constants(spec: NonlinearitySpec) -> tuple[float, float]:
     so the search on [0, 20] covers the line; the decay is verified at the
     right edge before the result is accepted.
     """
-    if spec.kind == "bounded_custom":
-        return spec.M_b, spec.L_b
-
     def absb(w):
         return b_eval(spec, w)
 

@@ -74,11 +74,13 @@ class _Engine:
     so slots ``head:head + m + 1`` always hold the window, oldest first."""
 
     def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment]):
-        for phi in phis:
+        for i, phi in enumerate(phis):
             if phi.operator != problem.operator:
                 raise GridMismatch("initial history uses a different operator grid")
             if phi.m != problem.m or phi.r != problem.r:
                 raise GridMismatch("initial history window does not match the kernel")
+            if not np.isfinite(phi.values).all():
+                raise ContractViolation(f"phis[{i}] is not finite")
         op = problem.operator
         self.problem = problem
         self.tw = theta_weights(problem.r, problem.m)
@@ -167,6 +169,7 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     batch of one.  A row whose state goes non-finite is left behind while the
     others keep stepping; at the end the IntegrationFailure of the lowest
     failed row is raised, the one a loop over the histories would raise first.
+    A non-finite initial history is a ContractViolation that names its index.
     """
     if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
         raise ContractViolation("steps must be an int >= 0")

@@ -2,10 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from sddlab.cli import main
+
+HERE = Path(__file__).resolve().parent
+CONFIGS = HERE.parent / "configs"
+GOLDEN = HERE / "golden"
 
 BOUND3 = 3.6965384146782829e-4
 M1_P = 3.4756671023291089e-4
@@ -155,6 +160,41 @@ def test_synthesize_csv_format(capsys):
                 capsys.readouterr().out.strip().split("\n"))
     assert rows["feasible"] == "True"
     assert float(rows["r"]) == pytest.approx(0.376939097538836, rel=1e-12)
+
+
+@pytest.mark.parametrize("golden, argv, code", [
+    ("check_gap_pi.csv", ["check", "gap_pi.json"], 0),
+    ("check_headline.csv", ["check", "headline.json"], 0),
+    ("check_neither.csv", ["check", "neither.json"], 1),
+    ("synthesize_N1_L100.csv", ["synthesize", "-N", "1", "-L", "100"], 0),
+    ("synthesize_N3_Lpi.csv",
+     ["synthesize", "-N", "3", "-L", "3.141592653589793"], 1),
+])
+def test_csv_golden(golden, argv, code, tmp_path, capsys):
+    # the CSV row order is part of the format, so the bytes are pinned
+    for name in ("gap_pi", "headline"):
+        (tmp_path / f"{name}.json").write_bytes(
+            (CONFIGS / f"{name}.json").read_bytes())
+    neither = json.loads((CONFIGS / "headline.json").read_text())
+    neither["kernel"]["M_xi"] = 0.5
+    write_cfg(tmp_path, neither, "neither.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--format", "csv"]) == code
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+# each search-grid flag at its default value
+GRID_FLAGS = {"--r-min": "0.001", "--r-max": "10", "--r-points": "60",
+              "--mxi-min": "1e-06", "--mxi-max": "10", "--mxi-points": "120"}
+
+
+@pytest.mark.parametrize("flag", GRID_FLAGS)
+def test_synthesize_default_grid_flag_changes_nothing(flag, capsys):
+    for base in (["-N", "1", "-L", "100"], ["-N", "3", "-L", "3.141592653589793"]):
+        code = main(["synthesize", *base])
+        plain = capsys.readouterr().out
+        assert main(["synthesize", *base, flag, GRID_FLAGS[flag]]) == code
+        assert capsys.readouterr().out == plain
 
 
 def test_synthesize_missing_N():
@@ -472,6 +512,10 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
     (["experiment", "coincidence", "--horizon", "0.001"], "experiment.horizon"),
     (["experiment", "attraction", "--horizon", "0.001"], "experiment.horizon"),
     (["experiment", "lipschitz", "--horizon", "0.001"], "experiment.horizon"),
+    # runs above MAX_TRIAL_STEPS, which must not start stepping
+    (["simulate", "--horizon", "1e30"], "simulation.horizon"),
+    (["experiment", "cone-invariance", "--trials", "1000000000"],
+     "experiment.trials"),
 ])
 def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sddlab as s
-from sddlab.conditions import default_mxi_grid, default_r_grid
+from sddlab.conditions import FLAGS, evaluate_certificate, search_grid
 from sddlab.errors import CertificationError, ContractViolation
 
 # frozen reference values (high-precision evaluation of the closed forms,
@@ -52,38 +52,52 @@ def test_lipschitz_M1_variants(headline_problem):
         headline_problem, "full")
 
 
-def test_gap_check_example():
-    a4, a5, delta = s.gap_check(9.0, 16.0, 3.5, 0.06558, 0.1)
-    assert delta == pytest.approx(DELTA_EXAMPLE, rel=1e-13)
-    assert round(delta, 5) == 0.1308
-    assert a4 and a5
+# case -> (lambda_N, lambda_N1, mu, M1, rs, expected at every r in rs); an
+# expected value is (value, rel), a flag is a bool
+TABLE_CASES = {
+    "gap_example": (9.0, 16.0, 3.5, 0.06558, [0.1], {
+        "delta_p": (DELTA_EXAMPLE, 1e-13), "bound3": (BOUND3_916_R01, 1e-13),
+        "A4_pass": True, "A5_pass_p": True, "bound3_pass_p": True}),
     # A4 fails when mu exceeds half the gap
-    a4b, _, _ = s.gap_check(9.0, 16.0, 3.6, 0.06558, 0.1)
-    assert not a4b
+    "a4_fails": (9.0, 16.0, 3.6, 0.06558, [0.1], {"A4_pass": False}),
     # A5 fails when mu <= 4 M1
-    _, a5c, _ = s.gap_check(9.0, 16.0, 0.2, 0.06558, 0.1)
-    assert not a5c
-    with pytest.raises(ContractViolation):
-        s.gap_check(9.0, 16.0, 0.0, 0.06558, 0.1)
+    "a5_fails": (9.0, 16.0, 0.2, 0.06558, [0.1],
+                 {"A4_pass": True, "A5_pass_p": False}),
+    "bound3_example": (9.0, 16.0, 3.5, 0.2, [0.1], {
+        "bound3": (BOUND3_916_R01, 1e-13), "bound3_pass_p": True}),
+    # exp(-12.5e-18) rounds to 1, so bound3 is gap/8 exactly, dyadic
+    "bound3_dyadic": (9.0, 16.0, 3.5, 1.0, [1e-18], {
+        "bound3": (0.875, 0.0), "bound3_pass_p": False}),
+    "headline_p": (LAM1, LAM2, MU, M1_P, [0.5], {
+        "bound3": (BOUND3, 1e-13), "bound3_pass_p": True}),
+    "headline_full": (LAM1, LAM2, MU, M1_FULL, [0.5], {"bound3_pass_p": False}),
+    "bound3_decreasing_in_r": (9.0, 16.0, 3.5, 0.0,
+                               list(np.linspace(0.05, 3.0, 20)), {}),
+}
 
 
-def test_bound3_examples():
-    b3, ok = s.bound3_check(9.0, 16.0, 0.1, 0.2)
-    assert b3 == pytest.approx(BOUND3_916_R01, rel=1e-13)
-    assert ok  # 0.2 <= 0.2507
-    b3r0, _ = s.bound3_check(9.0, 16.0, 0.0, 1.0)
-    assert b3r0 == 0.875  # gap/8 exactly, dyadic
-    b3h, okh = s.bound3_check(LAM1, LAM2, 0.5, M1_P)
-    assert b3h == pytest.approx(BOUND3, rel=1e-13)
-    assert okh
-    _, okf = s.bound3_check(LAM1, LAM2, 0.5, M1_FULL)
-    assert not okf
-
-
-def test_bound3_decreasing_in_r():
-    rs = np.linspace(0.0, 3.0, 20)
-    vals = [s.bound3_check(9.0, 16.0, float(r), 0.0)[0] for r in rs]
-    assert np.all(np.diff(vals) < 0)
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_certificate_table(case):
+    lam_N, lam_N1, mu, M1, rs, expected = TABLE_CASES[case]
+    bound3 = []
+    for r in rs:
+        # M_b = 1, |Omega| = 1/2 and a negligible L_b M_xi give M1 = r l11
+        values, flags = evaluate_certificate(
+            lambda_N=lam_N, lambda_N1=lam_N1, r=r, mu=mu, M_b=1.0,
+            L_b=1e-200, M_xi=1.0, l11_p=M1 / r, l11_n=M1 / r,
+            domain_length=0.5)
+        assert values["M1_p"] == pytest.approx(M1, rel=1e-15)
+        assert list(values)[:3] == ["lambda_N", "lambda_N1", "mu"]
+        assert list(flags) == [flag for flag, _ in FLAGS]
+        assert all(type(v) is float for v in values.values())
+        assert all(type(f) is bool for f in flags.values())
+        for key, want in expected.items():
+            if isinstance(want, bool):
+                assert flags[key] is want, key
+            else:
+                assert values[key] == pytest.approx(want[0], rel=want[1], abs=0)
+        bound3.append(values["bound3"])
+    assert np.all(np.diff(bound3) < 0)
 
 
 def test_remark_caps_headline_frozen():
@@ -102,18 +116,20 @@ def test_remark_caps_headline_frozen():
 
 def test_condition_report_headline(headline_problem):
     rep = s.condition_report(headline_problem, 1)
-    assert rep.lambda_N == pytest.approx(LAM1, rel=1e-13)
-    assert rep.lambda_N1 == pytest.approx(LAM2, rel=1e-13)
-    assert rep.mu == pytest.approx(MU, rel=1e-13)
-    assert rep.bound3 == pytest.approx(BOUND3, rel=1e-9)
-    assert rep.M1_p == pytest.approx(M1_P, rel=1e-9)
-    assert rep.M1_full == pytest.approx(M1_FULL, rel=1e-9)
-    assert rep.M1_n == pytest.approx(M1_FULL, rel=1e-9)
-    assert rep.delta_p == pytest.approx(DELTA_P, rel=1e-9)
-    assert rep.A4_pass and rep.A5_pass_p
-    assert rep.bound3_pass_p and not rep.bound3_pass_full
-    assert not rep.bound3_pass_n
-    assert rep.remark17_pass and rep.remark18_pass and rep.remark19_pass
+    vals, flags = rep.values, rep.flags
+    assert vals["lambda_N"] == pytest.approx(LAM1, rel=1e-13)
+    assert vals["lambda_N1"] == pytest.approx(LAM2, rel=1e-13)
+    assert vals["mu"] == pytest.approx(MU, rel=1e-13)
+    assert vals["bound3"] == pytest.approx(BOUND3, rel=1e-9)
+    assert vals["M1_p"] == pytest.approx(M1_P, rel=1e-9)
+    assert vals["M1_full"] == pytest.approx(M1_FULL, rel=1e-9)
+    assert vals["M1_n"] == pytest.approx(M1_FULL, rel=1e-9)
+    assert vals["delta_p"] == pytest.approx(DELTA_P, rel=1e-9)
+    assert flags["A4_pass"] and flags["A5_pass_p"]
+    assert flags["bound3_pass_p"] and not flags["bound3_pass_full"]
+    assert not flags["bound3_pass_n"]
+    assert flags["remark17_pass"] and flags["remark18_pass"]
+    assert flags["remark19_pass"]
     assert rep.verdict == "PIM_only"
     assert rep.inputs["M_xi"] == 8e-4
     assert rep.inputs["kind"] == "nicholson"
@@ -123,7 +139,7 @@ def test_condition_report_im_exists(op_headline, nl):
     ks = s.make_constant_kernel(0.5, 50, 1e-6, 1e-6, 8e-4)
     prob = s.ProblemSpec(operator=op_headline, kernel=ks, nonlinearity=nl)
     rep = s.condition_report(prob, 1)
-    assert rep.bound3_pass_full
+    assert rep.flags["bound3_pass_full"]
     assert rep.verdict == "IM_exists"
 
 
@@ -137,8 +153,8 @@ def test_condition_report_neither(op_headline, nl):
 
 def test_condition_report_mu_override(headline_problem):
     rep = s.condition_report(headline_problem, 1, mu=MU / 2.0)
-    assert rep.mu == pytest.approx(MU / 2.0, rel=1e-15)
-    assert rep.A4_pass
+    assert rep.values["mu"] == pytest.approx(MU / 2.0, rel=1e-15)
+    assert rep.flags["A4_pass"]
     with pytest.raises(ContractViolation):
         s.condition_report(headline_problem, 1, mu=MU * 1.5)
     with pytest.raises(ContractViolation):
@@ -162,19 +178,18 @@ def test_report_verdict_invariants(headline_problem):
     json.dumps(d)
     rows = dict(rep.csv_rows())
     assert rows["verdict"] == "PIM_only"
-    assert float(rows["M1_p"]) == rep.M1_p
+    assert float(rows["M1_p"]) == rep.values["M1_p"]
     # inconsistent verdicts are rejected at construction
     import dataclasses
-    with pytest.raises(ContractViolation):
-        dataclasses.replace(rep, verdict="IM_exists")
-    with pytest.raises(ContractViolation):
-        dataclasses.replace(rep, verdict="certified")
+    for verdict in ("IM_exists", "neither_certified", "certified"):
+        with pytest.raises(ContractViolation):
+            dataclasses.replace(rep, verdict=verdict)
 
 
 def test_synthesize_feasible_first_hit(nl):
     res = s.synthesize_params(1, nl, 100.0)
     assert res.feasible
-    r_grid, mxi_grid = default_r_grid(), default_mxi_grid()
+    r_grid, mxi_grid = search_grid("r"), search_grid("M_xi")
     assert res.params["r"] == r_grid[38]
     assert res.params["M_xi"] == mxi_grid[51]
     assert res.params["M_xi"] == 0.001
@@ -203,6 +218,17 @@ def test_synthesize_feasible_first_hit(nl):
     rep = s.condition_report(
         s.ProblemSpec(operator=op, kernel=ks, nonlinearity=nl), 1)
     assert rep.verdict == "PIM_only"
+
+
+def test_search_grid_defaults():
+    assert np.array_equal(search_grid("r"), np.logspace(-3.0, 1.0, 60))
+    assert np.array_equal(search_grid("M_xi"), np.logspace(-6.0, 1.0, 120))
+    # a partial override keeps the other defaults of its own grid
+    assert search_grid("M_xi", points=120)[0] == 1e-6
+    assert search_grid("M_xi", hi=10.0).size == 120
+    for bad in ({"lo": 0.0}, {"lo": 20.0}, {"points": 0}):
+        with pytest.raises(ContractViolation):
+            search_grid("r", **bad)
 
 
 def test_synthesize_margin_zero_still_feasible(nl):

@@ -72,27 +72,15 @@ def test_certified_leaves_original_untouched():
     assert raw.M_b is None and not raw.constants_certified
 
 
-def test_bounded_custom_wrapping():
-    custom = s.bounded_custom(lambda w: np.tanh(w) ** 2, M_b=1.0, L_b=0.8)
-    assert custom.constants_certified
-    assert s.certify_constants(custom) == (1.0, 0.8)
-    w = np.array([0.3, -1.2])
-    assert np.allclose(s.b_eval(custom, w), np.tanh(w) ** 2)
-    with pytest.raises(ContractViolation):
-        s.b_prime(custom, 1.0)
-    with pytest.raises(ContractViolation):
-        s.NonlinearitySpec(kind="bounded_custom", func=lambda w: w)  # no constants
-
-
 def test_nonlinearity_contracts():
     with pytest.raises(ContractViolation):
         s.nicholson(0.0)
     with pytest.raises(ContractViolation):
         s.nicholson(-1.0)
     with pytest.raises(ContractViolation):
-        s.NonlinearitySpec(kind="logistic")
+        s.NonlinearitySpec(constants_certified=True)
     with pytest.raises(ContractViolation):
-        s.NonlinearitySpec(kind="nicholson", constants_certified=True)
+        s.NonlinearitySpec(M_b=float("nan"), L_b=1.0)
 
 
 def test_delay_term_requires_certified(headline_kernel, op_headline):

@@ -129,11 +129,13 @@ def test_batch_invariance_bitwise(pi_problem, op_pi):
                 assert_records_equal(rec, single)
 
 
-def test_integration_failure_reports_lowest_failed_row(op_pi, pi_kernel):
+def test_integration_failure_reports_lowest_failed_row(pi_problem, op_pi,
+                                                      monkeypatch):
     # b is NaN below 0.5 and 0 above, so a constant history runs until its
     # boundary cell decays below 0.5; a larger constant fails later
-    nl = s.bounded_custom(lambda w: np.where(w < 0.5, np.nan, 0.0), 1.0, 1.0)
-    prob = s.ProblemSpec(operator=op_pi, kernel=pi_kernel, nonlinearity=nl)
+    monkeypatch.setattr("sddlab.solver.b_eval",
+                        lambda nl, w: np.where(w < 0.5, np.nan, 0.0))
+    prob = pi_problem
     phis = [s.constant_history(op_pi, 0.1, 50, c) for c in (1e3, 4.0, 1.0)]
     failures = []
     for phi in phis[1:]:
@@ -146,6 +148,18 @@ def test_integration_failure_reports_lowest_failed_row(op_pi, pi_kernel):
         s.evolve(prob, phis, 200)
     assert exc.value.row == 1 and exc.value.step_index == failures[0]
     assert exc.value.t == failures[0] * prob.h
+
+
+def test_evolve_rejects_non_finite_history(pi_problem, op_pi):
+    phis = [s.constant_history(op_pi, 0.1, 50, c) for c in (1.0, 2.0, 3.0)]
+    phis[2] = s.constant_history(op_pi, 0.1, 50, np.nan)
+    with pytest.raises(ContractViolation, match=r"phis\[2\] is not finite"):
+        s.evolve(pi_problem, phis, 0)
+    rows = phis[1].values.copy()
+    rows[0, 5] = np.inf  # the oldest snapshot, which step 1 still reads
+    phis[2] = s.HistorySegment(op_pi, 0.1, 50, rows)
+    with pytest.raises(ContractViolation, match=r"phis\[2\] is not finite"):
+        s.evolve(pi_problem, phis, 10)
 
 
 def test_evolve_deterministic_bitwise(pi_problem, op_pi):
