@@ -213,15 +213,15 @@ def _at(key_path: str, fn, *args, **kwargs):
 
 
 def _run_steps(section: str, kernel: KernelSpec, horizon: float,
-               trials: int = 1) -> int:
-    """Steps for ``horizon``, rejected when trials x steps exceeds
-    MAX_TRIAL_STEPS: at the horizon if one trial is too long, else at the
-    trials."""
+               rows: int = 1) -> int:
+    """Steps for ``horizon``, rejected when rows x steps exceeds
+    MAX_TRIAL_STEPS, where ``rows`` counts the histories ``evolve`` steps:
+    at the horizon if one row is too long, else at the trials."""
     steps = _at(f"{section}.horizon", steps_for_horizon, kernel, horizon)
-    if trials * max(steps, 1) > MAX_TRIAL_STEPS:
+    if rows * max(steps, 1) > MAX_TRIAL_STEPS:
         key = "horizon" if steps > MAX_TRIAL_STEPS else "trials"
         raise ConfigError(f"{section}.{key}",
-                          f"{trials} x {steps} trial-steps exceed "
+                          f"{rows} rows x {steps} steps exceed "
                           f"MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}")
     return steps
 
@@ -335,7 +335,13 @@ def cmd_experiment(args) -> int:
     if args.name != "lipschitz":  # the runners check the family without a key
         first = "positive" if args.name == "attraction" else cones[0]
         _at("experiment.family", cone_sign, ecfg.family, first)
-    _run_steps("experiment", problem.kernel, ecfg.horizon, ecfg.trials)
+    # the histories evolve steps: coincidence runs two variants and a witness
+    # on the positive cone; lipschitz steps none, so its trials keep the bound
+    rows = {"cone-invariance": len(cones) * ecfg.trials,
+            "coincidence": 2 * (len(cones) * ecfg.trials + ("positive" in cones)),
+            "attraction": 2 * ecfg.trials,
+            "lipschitz": ecfg.trials}[args.name]
+    _run_steps("experiment", problem.kernel, ecfg.horizon, rows)
     if args.name == "cone-invariance":
         results = [run_cone_invariance(problem, ecfg, cone=c) for c in cones]
     elif args.name == "coincidence":

@@ -10,6 +10,7 @@ h_x * n_x = L hold exactly in floating point up to one rounding).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,11 +18,13 @@ from .errors import ContractViolation, GridMismatch
 from .spectral import GridField, OperatorSpec
 
 
+@lru_cache
 def theta_weights(r: float, m: int) -> np.ndarray:
-    """Composite trapezoid weights on the m+1 theta nodes."""
+    """Composite trapezoid weights on the m+1 theta nodes (cached, read-only)."""
     w = np.full(m + 1, r / m)
     w[0] *= 0.5
     w[-1] *= 0.5
+    w.setflags(write=False)
     return w
 
 

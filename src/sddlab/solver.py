@@ -17,15 +17,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .errors import CertificationError, ContractViolation, GridMismatch, IntegrationFailure
 from .history import HistorySegment, theta_weights
 from .kernel import (KernelSpec, KernelVariant, _as_variant, combine_profiles,
                      gates, sign_masses)
 from .nonlinear import NonlinearitySpec, b_eval
-from .spectral import (GridField, OperatorSpec, field_l2_norm, forward,
-                       full_discrete_eigenvalues)
+from .spectral import (GridField, OperatorSpec, dst, field_l2_norm, forward,
+                       full_discrete_eigenvalues, idst)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .errors import ContractViolation, GridMismatch
+
+# scipy.fft (~0.4 s to import), bound by the first transform; check never transforms
+_fft = None
+
+
+def _scipy_fft():
+    global _fft
+    import scipy.fft as _fft
+    return _fft
+
+
+def dst(x, *args, **kwargs):
+    """scipy.fft.dst; the first transform imports scipy.fft."""
+    return (_fft or _scipy_fft()).dst(x, *args, **kwargs)
+
+
+def idst(x, *args, **kwargs):
+    """scipy.fft.idst; the first transform imports scipy.fft."""
+    return (_fft or _scipy_fft()).idst(x, *args, **kwargs)
 
 
 def _require(cond: bool, message: str) -> None:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sddlab
 from sddlab.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -516,6 +520,12 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
     (["simulate", "--horizon", "1e30"], "simulation.horizon"),
     (["experiment", "cone-invariance", "--trials", "1000000000"],
      "experiment.trials"),
+    # trials x steps = 3999999 x 250 fits the cap; the rows evolve steps do
+    # not: two cones, two variants and a witness, a pair per trial
+    (["experiment", "cone-invariance", "--trials", "3999999"],
+     "experiment.trials"),
+    (["experiment", "coincidence", "--trials", "3999999"], "experiment.trials"),
+    (["experiment", "attraction", "--trials", "3999999"], "experiment.trials"),
 ])
 def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
@@ -543,3 +553,38 @@ def test_cross_key_rejection(cmd, path, value, tmp_path, capsys, monkeypatch):
     assert main(cmd + [write_cfg(tmp_path, cfg_dict)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error at {path}:") and "Traceback" not in err
+
+
+# prints the scipy modules loaded by an import of sddlab and one command
+COLD_CHILD = """
+import json
+import sys
+import sddlab
+from sddlab.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code, scipy_loaded", [
+    ([], 0, False),
+    (["check", str(CONFIGS / "headline.json")], 0, False),
+    (["synthesize", "-N", "3", "-L", "3.141592653589793"], 1, False),
+    (["synthesize", "-N", "1", "-L", "100"], 0, False),
+    # control: a command that transforms a field does load scipy.fft
+    (["simulate", str(CONFIGS / "gap_pi.json"), "--horizon", "0.01"], 0, True),
+], ids=["import", "check", "synthesize-infeasible", "synthesize", "simulate"])
+def test_cold_commands_skip_scipy(argv, code, scipy_loaded, tmp_path):
+    src = str(Path(sddlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, SDDLAB_OUTDIR=str(tmp_path), PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", COLD_CHILD, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    if scipy_loaded:
+        assert "scipy.fft" in loaded
+    else:
+        assert loaded == []

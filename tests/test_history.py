@@ -20,6 +20,7 @@ def test_theta_weights_trapezoid():
     assert w[0] == w[-1] == 0.5 * (0.5 / 50)
     assert np.all(w[1:-1] == 0.5 / 50)
     assert float(w.sum()) == pytest.approx(0.5, rel=1e-14)
+    assert not w.flags.writeable
 
 
 def test_partition_is_exact_bitwise(op_headline):

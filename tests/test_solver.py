@@ -197,9 +197,8 @@ def test_high_norm_partition(pi_problem, op_pi):
                        rtol=1e-10, atol=1e-13)
 
 
-def test_self_convergence_first_order(op_pi, nl):
-    # same continuum data at three theta resolutions; errors measured against
-    # the finest run must shrink at least linearly in h
+def self_convergence_finals(op_pi, nl):
+    """Final fields at T=2 of the same continuum data at m = 25, 50, 100."""
     T, r = 2.0, 0.1
     finals = {}
     for m in (25, 50, 100):
@@ -211,10 +210,25 @@ def test_self_convergence_first_order(op_pi, nl):
                                      1.0, rng)
         [rec] = s.evolve(prob, [phi], steps, stride=steps, record_fields=True)
         finals[m] = rec.fields[-1]
+    return finals
+
+
+def test_self_convergence_first_order(op_pi, nl):
+    # errors measured against the finest run must shrink at least linearly in h
+    finals = self_convergence_finals(op_pi, nl)
     e_coarse = float(np.abs(finals[25] - finals[100]).max())
     e_fine = float(np.abs(finals[50] - finals[100]).max())
     order = np.log2(e_coarse / e_fine)
     assert order >= 0.9
+
+
+def test_three_level_convergence_order(op_pi, nl):
+    # against the finest run a first-order scheme gives log2 3 whatever its
+    # order; successive differences estimate the order itself
+    finals = self_convergence_finals(op_pi, nl)
+    d_coarse = float(np.abs(finals[25] - finals[50]).max())
+    d_fine = float(np.abs(finals[50] - finals[100]).max())
+    assert 0.9 <= np.log2(d_coarse / d_fine) <= 1.1
 
 
 def test_dissipativity_zero_kernel_decays(op_pi, nl):

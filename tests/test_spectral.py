@@ -92,6 +92,19 @@ def test_stacked_transforms_match_rows_bitwise(op_headline):
         assert norms[i] == s.field_l2_norm(op_headline, s.GridField(row))
 
 
+def test_lazy_transforms_match_scipy_bitwise(monkeypatch):
+    import scipy.fft
+
+    from sddlab import spectral
+    x = np.random.default_rng(5).normal(size=(3, 64))
+    for name in ("dst", "idst"):
+        monkeypatch.setattr(spectral, "_fft", None)  # before the first transform
+        for _ in range(2):  # the first call loads scipy.fft, the second reuses it
+            assert np.array_equal(getattr(spectral, name)(x, type=2),
+                                  getattr(scipy.fft, name)(x, type=2))
+        assert spectral._fft is scipy.fft
+
+
 def test_forward_of_eigenfunction_is_unit_vector(op_headline):
     for k in (1, 3, 8):
         a = s.forward(op_headline, s.eigenfunction(op_headline, k)).coeffs
