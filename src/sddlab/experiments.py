@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, tee
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -23,8 +23,9 @@ import numpy as np
 from .conditions import condition_report, lipschitz_M1
 from .errors import ContractViolation
 from .history import (HistorySegment, norm_C, norm_L1L1, theta_weights)
-from .kernel import KernelVariant, eval_xi, l11_constant
-from .nonlinear import delay_term
+from .kernel import (KernelVariant, combine_profiles, gates, l11_constant,
+                     sign_masses)
+from .nonlinear import b_eval
 from .solver import ProblemSpec, evolve, steps_for_horizon
 from .spectral import (GridField, ModeVector, OperatorSpec, field_l2_norm,
                        forward, inverse)
@@ -95,9 +96,11 @@ class ExperimentResult:
 
 
 def _fourier_field(op: OperatorSpec, rng: np.random.Generator,
-                   amplitude: float) -> np.ndarray:
+                   amplitude: float, lowest: int = 1) -> np.ndarray:
+    """A sine series with N(0, amplitude/k) coefficients on modes lowest..K."""
     k = np.arange(1, op.modes + 1, dtype=float)
-    coeffs = rng.normal(0.0, amplitude / k)
+    coeffs = np.zeros(op.modes)
+    coeffs[lowest - 1:] = rng.normal(0.0, amplitude / k[lowest - 1:])
     return inverse(op, ModeVector(coeffs)).values
 
 
@@ -137,6 +140,19 @@ def make_initial_history(op: OperatorSpec, r: float, m: int, family: str,
     return HistorySegment(operator=op, r=r, m=m, values=rows)
 
 
+def _draw(problem: ProblemSpec, cfg: ExperimentConfig,
+          rng: np.random.Generator, sign: float = 1.0) -> HistorySegment:
+    """One initial history of the configured family on the problem's window."""
+    return make_initial_history(problem.operator, problem.r, problem.m,
+                                cfg.family, cfg.amplitude, rng, sign=sign)
+
+
+def _summary(cfg: ExperimentConfig, **fields) -> dict:
+    """A run's summary: its own fields plus the configuration every run reports."""
+    return {**fields, "trials": cfg.trials, "family": cfg.family,
+            "amplitude": cfg.amplitude, "seed": cfg.seed}
+
+
 def cone_sign(family: str, cone: str) -> float:
     """+1.0 or -1.0, the sign that maps draws of ``family`` into ``cone``;
     rejects a cone name or a family that does not give cone members."""
@@ -161,9 +177,7 @@ def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
                         cone: str = "positive") -> ExperimentResult:
     """Evolve cone members and record the worst signed excursion per trial."""
     sign = cone_sign(cfg.family, cone)
-    phis = (make_initial_history(problem.operator, problem.r, problem.m,
-                                 cfg.family, cfg.amplitude,
-                                 np.random.default_rng(cfg.seed + i), sign=sign)
+    phis = (_draw(problem, cfg, np.random.default_rng(cfg.seed + i), sign)
             for i in range(cfg.trials))
     recs = _evolve_batched(problem, phis,
                            steps_for_horizon(problem.kernel, cfg.horizon),
@@ -177,17 +191,9 @@ def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
                      "passed": violation <= CONE_TOL})
     max_violation = max(row["violation"] for row in rows)
     passed = all(row["passed"] for row in rows)
-    summary = {
-        "cone": cone,
-        "variant": problem.variant.value,
-        "tolerance": CONE_TOL,
-        "max_violation": max_violation,
-        "trials": cfg.trials,
-        "horizon": cfg.horizon,
-        "family": cfg.family,
-        "amplitude": cfg.amplitude,
-        "seed": cfg.seed,
-    }
+    summary = _summary(cfg, cone=cone, variant=problem.variant.value,
+                       tolerance=CONE_TOL, max_violation=max_violation,
+                       horizon=cfg.horizon)
     return ExperimentResult(name=f"cone_invariance_{cone}", passed=passed,
                             trials=rows, summary=summary)
 
@@ -211,16 +217,17 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
     steps = steps_for_horizon(problem.kernel, cfg.horizon)
     op = problem.operator
     witness = include_witness and cone == "positive"
-    # the trials, then the witness datum drawn with seed + trials
-    phis = [make_initial_history(op, problem.r, problem.m, cfg.family,
-                                 cfg.amplitude, np.random.default_rng(cfg.seed + i),
-                                 sign=sign)
-            for i in range(cfg.trials + witness)]
-    if witness:
-        phis[-1] = _negate_node(phis[-1], cfg.amplitude)
+
+    def draws() -> Iterator[HistorySegment]:
+        """The trials, then the witness datum drawn with seed + trials."""
+        for i in range(cfg.trials + witness):
+            phi = _draw(problem, cfg, np.random.default_rng(cfg.seed + i), sign)
+            yield _negate_node(phi, cfg.amplitude) if i == cfg.trials else phi
+
+    # both variants read one lazy stream; tee holds at most a batch between them
     runs = [_evolve_batched(replace(problem, variant=variant), phis, steps,
                             stride=cfg.stride, record_fields=True)
-            for variant in (KernelVariant.FULL, one_sided)]
+            for variant, phis in zip((KernelVariant.FULL, one_sided), tee(draws()))]
 
     def pair_distance(rec_a, rec_b) -> float:
         diff = rec_a.fields - rec_b.fields
@@ -236,24 +243,12 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
                      "informational": True, "passed": True})
     regular = [row for row in rows if not row["informational"]]
     passed = all(row["passed"] for row in regular)
-    summary = {
-        "cone": cone,
-        "variants": ["full", one_sided.value],
-        "tolerance": 0.0,
-        "max_distance": max(row["distance"] for row in regular),
-        "witness_distance": witness_distance,
-        "trials": cfg.trials,
-        "horizon": cfg.horizon,
-        "family": cfg.family,
-        "amplitude": cfg.amplitude,
-        "seed": cfg.seed,
-    }
+    summary = _summary(cfg, cone=cone, variants=["full", one_sided.value],
+                       tolerance=0.0,
+                       max_distance=max(row["distance"] for row in regular),
+                       witness_distance=witness_distance, horizon=cfg.horizon)
     return ExperimentResult(name=f"coincidence_{cone}", passed=passed,
                             trials=rows, summary=summary)
-
-
-def _trapezoid_abs(r: float, m: int, values: np.ndarray) -> float:
-    return float(np.dot(theta_weights(r, m), np.abs(values)))
 
 
 def run_lipschitz_sampling(problem: ProblemSpec,
@@ -265,32 +260,36 @@ def run_lipschitz_sampling(problem: ProblemSpec,
 
     per variant with its own constants.  Pair types cycle: independent draws,
     a scaled copy, and a nearby perturbation (covers clipped and unclipped
-    gate regimes).  Zero-difference pairs are skipped.
+    gate regimes).  Zero-difference pairs are skipped.  Each segment's sign
+    masses and gates are computed once; xi and B1 are then the expressions of
+    ``eval_xi`` and ``delay_term``, so every ratio has their bits.
     """
     op = problem.operator
     ks = problem.kernel
     nl = problem.nonlinearity
+    tw = theta_weights(ks.r, ks.m)
     m1 = {var: lipschitz_M1(problem, var) for var in KernelVariant}
     l11 = {var: l11_constant(ks, var) for var in KernelVariant}
 
+    def evaluate(values: np.ndarray) -> tuple[dict, np.ndarray]:
+        """Every variant's xi on one segment, and the run variant's B1."""
+        s_plus, s_minus = gates(tw, sign_masses(values, op.h_x))
+        xi = {var: combine_profiles(ks, s_plus, s_minus, var)
+              for var in KernelVariant}
+        return xi, (tw * xi[problem.variant]) @ b_eval(nl, values)
+
     def trial(i: int) -> dict:
         rng = np.random.default_rng(cfg.seed + i)
-        v1 = make_initial_history(op, problem.r, problem.m, cfg.family,
-                                  cfg.amplitude, rng)
+        v1 = _draw(problem, cfg, rng).values
         kind = ("independent", "scaled", "near")[i % 3]
         if kind == "independent":
-            v2 = make_initial_history(op, problem.r, problem.m, cfg.family,
-                                      cfg.amplitude, rng)
+            v2 = _draw(problem, cfg, rng).values
         elif kind == "scaled":
-            v2 = HistorySegment(operator=op, r=problem.r, m=problem.m,
-                                values=rng.uniform(0.0, 2.0) * v1.values)
+            v2 = rng.uniform(0.0, 2.0) * v1
         else:
-            small = make_initial_history(op, problem.r, problem.m, cfg.family,
-                                         cfg.amplitude, rng)
-            v2 = HistorySegment(operator=op, r=problem.r, m=problem.m,
-                                values=v1.values + 1e-4 * small.values)
+            v2 = v1 + 1e-4 * _draw(problem, cfg, rng).values
         delta = HistorySegment(operator=op, r=problem.r, m=problem.m,
-                               values=v1.values - v2.values)
+                               values=v1 - v2)
         dC = norm_C(delta)
         if dC == 0.0:
             return {"trial": i, "pair": kind, "status": "skipped",
@@ -298,18 +297,15 @@ def run_lipschitz_sampling(problem: ProblemSpec,
                     "kernel_ratio_p": None, "kernel_ratio_n": None,
                     "passed": True}
         d11 = norm_L1L1(delta)
+        (xi1, b1), (xi2, b2) = evaluate(v1), evaluate(v2)
         row = {"trial": i, "pair": kind, "status": "ok"}
         ok = True
         for var in KernelVariant:
-            num = _trapezoid_abs(problem.r, problem.m,
-                                 eval_xi(ks, v1, var) - eval_xi(ks, v2, var))
-            den = l11[var] * d11
-            ratio = 0.0 if num == 0.0 else num / den
+            num = float(np.dot(tw, np.abs(xi1[var] - xi2[var])))
+            ratio = 0.0 if num == 0.0 else num / (l11[var] * d11)
             row[f"kernel_ratio_{var.value}"] = ratio
             ok = ok and ratio <= 1.0 + KERNEL_TOL
-        dB = (delay_term(nl, ks, v1, problem.variant).values
-              - delay_term(nl, ks, v2, problem.variant).values)
-        num = field_l2_norm(op, GridField(dB))
+        num = field_l2_norm(op, GridField(b1 - b2))
         ratio = 0.0 if num == 0.0 else num / (m1[problem.variant] * dC)
         row["b1_ratio"] = ratio
         ok = ok and ratio <= 1.0 + B1_TOL
@@ -322,23 +318,14 @@ def run_lipschitz_sampling(problem: ProblemSpec,
                      for var in KernelVariant]
     b1_ratios = [row["b1_ratio"] for row in used]
     passed = all(row["passed"] for row in rows)
-    summary = {
-        "variant": problem.variant.value,
-        "b1_tolerance": B1_TOL,
-        "kernel_tolerance": KERNEL_TOL,
-        "max_b1_ratio": max(b1_ratios) if b1_ratios else None,
-        "max_kernel_ratio": max(kernel_ratios) if kernel_ratios else None,
-        "M1": m1[problem.variant],
-        "l11_full": l11[KernelVariant.FULL],
-        "l11_p": l11[KernelVariant.P],
-        "l11_n": l11[KernelVariant.N],
-        "pairs_used": len(used),
-        "pairs_skipped": len(rows) - len(used),
-        "trials": cfg.trials,
-        "family": cfg.family,
-        "amplitude": cfg.amplitude,
-        "seed": cfg.seed,
-    }
+    summary = _summary(
+        cfg, variant=problem.variant.value, b1_tolerance=B1_TOL,
+        kernel_tolerance=KERNEL_TOL,
+        max_b1_ratio=max(b1_ratios) if b1_ratios else None,
+        max_kernel_ratio=max(kernel_ratios) if kernel_ratios else None,
+        M1=m1[problem.variant], pairs_used=len(used),
+        pairs_skipped=len(rows) - len(used),
+        **{f"l11_{var.value}": l11[var] for var in KernelVariant})
     return ExperimentResult(name="lipschitz_sampling", passed=passed,
                             trials=rows, summary=summary)
 
@@ -358,10 +345,7 @@ def _fit_log_linear(t: np.ndarray, q: np.ndarray) -> tuple[float, float]:
 def _high_mode_perturbation(op: OperatorSpec, N: int, amplitude: float,
                             rng: np.random.Generator) -> np.ndarray:
     """A field supported on modes N+1..K, sup-normalized to 0.4 * amplitude."""
-    k = np.arange(1, op.modes + 1, dtype=float)
-    coeffs = np.zeros(op.modes)
-    coeffs[N:] = rng.normal(0.0, amplitude / k[N:])
-    field = inverse(op, ModeVector(coeffs)).values
+    field = _fourier_field(op, rng, amplitude, lowest=N + 1)
     peak = np.abs(field).max()
     if peak == 0.0:
         return field
@@ -392,8 +376,7 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
 
     def pair(i: int):
         rng = np.random.default_rng(cfg.seed + i)
-        phi1 = make_initial_history(op, problem.r, problem.m, cfg.family,
-                                    cfg.amplitude, rng)
+        phi1 = _draw(problem, cfg, rng)
         pert = _high_mode_perturbation(op, N, cfg.amplitude, rng)
         return phi1, HistorySegment(operator=op, r=problem.r, m=problem.m,
                                     values=phi1.values + pert[None, :])
@@ -406,9 +389,10 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
     def trial(i: int, rec1, rec2) -> dict:
         diff = rec1.fields - rec2.fields
         full2 = op.h_x * (diff * diff).sum(axis=1)
+        row = {"trial": i, "status": "skipped", "alpha_hat": None, "r2": None,
+               "q0": 0.0, "cone_entry_t": None, "n_window": 0}
         if full2[0] == 0.0:
-            return {"trial": i, "status": "skipped", "alpha_hat": None,
-                    "r2": None, "q0": 0.0, "cone_entry_t": None, "n_window": 0}
+            return row
         low = forward(op, GridField(diff)).coeffs[:, :N]
         p2 = (low * low).sum(axis=1)
         q = np.sqrt(np.maximum(full2 - p2, 0.0))
@@ -420,19 +404,15 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
         if cone_idx is not None:
             window &= np.arange(t.size) < cone_idx
         n_window = int(window.sum())
+        entry_t = None if cone_idx is None else float(t[cone_idx])
+        row.update(status="inconclusive", q0=float(q[0]), n_window=n_window)
         if n_window >= MIN_FIT_SAMPLES:
             alpha_hat, r2 = _fit_log_linear(t[window], q[window])
-            return {"trial": i, "status": "fit", "alpha_hat": alpha_hat,
-                    "r2": r2, "q0": float(q[0]),
-                    "cone_entry_t": None if cone_idx is None else float(t[cone_idx]),
-                    "n_window": n_window}
-        if cone_idx is not None and bool(in_cone[cone_idx:].all()):
-            return {"trial": i, "status": "slaved", "alpha_hat": None,
-                    "r2": None, "q0": float(q[0]),
-                    "cone_entry_t": float(t[cone_idx]), "n_window": n_window}
-        return {"trial": i, "status": "inconclusive", "alpha_hat": None,
-                "r2": None, "q0": float(q[0]), "cone_entry_t": None,
-                "n_window": n_window}
+            row.update(status="fit", alpha_hat=alpha_hat, r2=r2,
+                       cone_entry_t=entry_t)
+        elif cone_idx is not None and bool(in_cone[cone_idx:].all()):
+            row.update(status="slaved", cone_entry_t=entry_t)
+        return row
 
     # zip(recs, recs) takes the records two at a time: (phi1, phi2) of a pair
     rows = [trial(i, rec1, rec2) for i, (rec1, rec2) in enumerate(zip(recs, recs))]
@@ -449,29 +429,14 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
     else:
         passed = False
         informational = True  # nothing conclusive either way
-    summary = {
-        "N": N,
-        "mu": mu,
-        "alpha_min": alpha_min,
-        "r2_min": R2_MIN,
-        "median_alpha": median_alpha,
-        "median_r2": median_r2,
-        "noise_floor": NOISE_FLOOR,
-        "min_fit_samples": MIN_FIT_SAMPLES,
-        "window_policy": ("samples with t >= r, q >= noise floor, "
-                          "before cone entry"),
-        "n_fit": len(fits),
-        "n_slaved": len(slaved),
-        "n_inconclusive": len(inconclusive),
-        "n_skipped": len(rows) - len(fits) - len(slaved) - len(inconclusive),
-        "variant": "p",
-        "trials": cfg.trials,
-        "horizon": cfg.horizon,
-        "stride": cfg.stride,
-        "family": cfg.family,
-        "amplitude": cfg.amplitude,
-        "seed": cfg.seed,
-    }
+    summary = _summary(
+        cfg, N=N, mu=mu, alpha_min=alpha_min, r2_min=R2_MIN,
+        median_alpha=median_alpha, median_r2=median_r2,
+        noise_floor=NOISE_FLOOR, min_fit_samples=MIN_FIT_SAMPLES,
+        window_policy="samples with t >= r, q >= noise floor, before cone entry",
+        n_fit=len(fits), n_slaved=len(slaved), n_inconclusive=len(inconclusive),
+        n_skipped=len(rows) - len(fits) - len(slaved) - len(inconclusive),
+        variant="p", horizon=cfg.horizon, stride=cfg.stride)
     return ExperimentResult(name="attraction_rate", passed=passed, trials=rows,
                             summary=summary, informational=informational)
 

@@ -118,8 +118,8 @@ def sign_masses(values: np.ndarray, h_x: float) -> np.ndarray:
     """Per-snapshot masses int v_plus dx and int (-v_minus) dx along the last
     axis, stacked on a new first axis of length 2.
 
-    These expressions fix the bits of the solver's gates, so eval_xi and the
-    solver's rolling caches both call this function.
+    These expressions fix the bits of the solver's gates, so eval_xi, the
+    solver's rolling caches and the Lipschitz sampler all call this function.
     """
     return h_x * np.array([np.maximum(values, 0.0).sum(axis=-1),
                            (-np.minimum(values, 0.0)).sum(axis=-1)])
@@ -136,7 +136,7 @@ def gates(tw: np.ndarray, masses: np.ndarray) -> np.ndarray:
 def combine_profiles(spec: KernelSpec, s_plus, s_minus,
                      variant: KernelVariant) -> np.ndarray:
     """xi(theta_j) for given gate values (scalars, or (B, 1) stacks giving
-    (B, m+1)); its two callers are eval_xi and the solver's forcing."""
+    (B, m+1)); eval_xi, the solver's forcing and the Lipschitz sampler call it."""
     if variant is KernelVariant.P:
         return spec.xi_plus * s_plus
     if variant is KernelVariant.N:

@@ -187,6 +187,26 @@ def test_csv_golden(golden, argv, code, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("name, config, trials", [
+    ("cone-invariance", "gap_pi.json", "3"),
+    ("coincidence", "gap_pi.json", "3"),
+    ("attraction", "gap_pi.json", "3"),
+    ("lipschitz", "headline.json", "30"),
+])
+def test_experiment_golden(name, config, trials, tmp_path, capsys):
+    # summary.json and every CSV, byte for byte
+    argv = ["experiment", name, str(CONFIGS / config), "--trials", trials,
+            "--output-dir", str(tmp_path)]
+    if name != "lipschitz":
+        argv += ["--horizon", "0.5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    golden = GOLDEN / "experiment" / name
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
+    for path in golden.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 # each search-grid flag at its default value
 GRID_FLAGS = {"--r-min": "0.001", "--r-max": "10", "--r-points": "60",
               "--mxi-min": "1e-06", "--mxi-max": "10", "--mxi-points": "120"}

@@ -126,6 +126,108 @@ def test_coincidence_witness_optional(pi_problem, small_cfg):
     assert res.summary["witness_distance"] is None
 
 
+def test_coincidence_draws_lazily(pi_problem, monkeypatch):
+    # both variants read one stream, so a batch is drawn just before it steps
+    draws, at_first_evolve = [], []
+    draw, evolve = s.experiments.make_initial_history, s.experiments.evolve
+
+    def counting_draw(*args, **kwargs):
+        draws.append(1)
+        return draw(*args, **kwargs)
+
+    def noting_evolve(*args, **kwargs):
+        if not at_first_evolve:
+            at_first_evolve.append(len(draws))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
+    monkeypatch.setattr(s.experiments, "make_initial_history", counting_draw)
+    monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
+    cfg = s.ExperimentConfig(trials=20, seed=5, horizon=0.02, amplitude=0.5)
+    res = s.run_coincidence(pi_problem, cfg)
+    assert res.passed and len(res.trials) == 21
+    assert at_first_evolve[0] <= 4
+    assert len(draws) == 21
+
+
+def test_coincidence_batches_bitwise(pi_problem, monkeypatch):
+    # 70 trials and the witness cross the 64-row batch boundary; batches of
+    # one give the same rows
+    cfg = s.ExperimentConfig(trials=70, seed=11, horizon=0.1, amplitude=0.5,
+                             stride=5)
+    batched = s.run_coincidence(pi_problem, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(s.experiments, "BATCH_ROWS", 1)
+        single = s.run_coincidence(pi_problem, cfg)
+    assert len(batched.trials) == 71 and batched.trials[-1]["trial"] == -1
+    assert batched.summary["witness_distance"] > 0.0
+    assert repr(batched.to_dict()) == repr(single.to_dict())
+
+
+def reference_lipschitz_row(problem, cfg, i):
+    """One pair's ratios from the public single-segment functions."""
+    op, ks, nl = problem.operator, problem.kernel, problem.nonlinearity
+    rng = np.random.default_rng(cfg.seed + i)
+
+    def draw():
+        return s.make_initial_history(op, problem.r, problem.m, cfg.family,
+                                      cfg.amplitude, rng)
+
+    def segment(values):
+        return s.HistorySegment(op, problem.r, problem.m, values)
+
+    v1 = draw()
+    kind = ("independent", "scaled", "near")[i % 3]
+    if kind == "independent":
+        v2 = draw()
+    elif kind == "scaled":
+        v2 = segment(rng.uniform(0.0, 2.0) * v1.values)
+    else:
+        v2 = segment(v1.values + 1e-4 * draw().values)
+    delta = segment(v1.values - v2.values)
+    tw = s.theta_weights(problem.r, problem.m)
+    row = {}
+    for var in s.KernelVariant:
+        num = float(np.dot(tw, np.abs(s.eval_xi(ks, v1, var)
+                                      - s.eval_xi(ks, v2, var))))
+        row[f"kernel_ratio_{var.value}"] = 0.0 if num == 0.0 else \
+            num / (s.l11_constant(ks, var) * s.norm_L1L1(delta))
+    dB = (s.delay_term(nl, ks, v1, problem.variant).values
+          - s.delay_term(nl, ks, v2, problem.variant).values)
+    num = s.field_l2_norm(op, s.GridField(dB))
+    row["b1_ratio"] = 0.0 if num == 0.0 else \
+        num / (s.lipschitz_M1(problem, problem.variant) * s.norm_C(delta))
+    return row
+
+
+@pytest.mark.parametrize("family, amplitude", [
+    ("random_positive_fourier", 1.0),
+    ("random_signed_fourier", 0.01),  # unclipped gates, so the minus gate opens
+])
+def test_lipschitz_matches_single_segment_api(headline_problem, family,
+                                              amplitude, monkeypatch):
+    calls = []
+    masses = s.experiments.sign_masses
+
+    def counting_masses(*args, **kwargs):
+        calls.append(1)
+        return masses(*args, **kwargs)
+
+    monkeypatch.setattr(s.experiments, "sign_masses", counting_masses)
+    cfg = s.ExperimentConfig(trials=30, seed=4, horizon=1.0, family=family,
+                             amplitude=amplitude)
+    res = s.run_lipschitz_sampling(headline_problem, cfg)
+    assert res.summary["pairs_used"] == 30
+    assert {row["pair"] for row in res.trials} == {"independent", "scaled", "near"}
+    assert len(calls) == 2 * res.summary["pairs_used"]
+    for row in res.trials:
+        ref = reference_lipschitz_row(headline_problem, cfg, row["trial"])
+        for key, value in ref.items():
+            assert row[key] == value, (row["trial"], key)
+    if family == "random_signed_fourier":
+        assert any(row["kernel_ratio_n"] > 0.0 for row in res.trials)
+
+
 def test_lipschitz_sampling_bounds(headline_problem):
     cfg = s.ExperimentConfig(trials=12, seed=9, horizon=1.0, amplitude=1.0)
     res = s.run_lipschitz_sampling(headline_problem, cfg)
@@ -175,6 +277,41 @@ def test_attraction_zero_amplitude_skips(pi_problem):
     assert not res.passed and res.informational
     assert all(row["status"] == "skipped" for row in res.trials)
     assert res.summary["n_skipped"] == 2
+
+
+def test_attraction_slaved_and_inconclusive_rows(pi_problem, monkeypatch):
+    # no window is long enough to fit, so pairs are slaved or inconclusive;
+    # the rows were recorded before the row-building code was rewritten
+    monkeypatch.setattr(s.experiments, "MIN_FIT_SAMPLES", 100)
+    cfg = s.ExperimentConfig(trials=4, seed=11, horizon=0.5, amplitude=0.5,
+                             family="constant")
+    res = s.run_attraction_rate(pi_problem, cfg, 3)
+    assert repr(res.trials) == repr([
+        {"trial": 0, "status": "slaved", "alpha_hat": None, "r2": None,
+         "q0": 0.1908276175672371, "cone_entry_t": 0.5, "n_window": 20},
+        {"trial": 1, "status": "slaved", "alpha_hat": None, "r2": None,
+         "q0": 0.13732333737419467, "cone_entry_t": 0.46, "n_window": 18},
+        {"trial": 2, "status": "inconclusive", "alpha_hat": None, "r2": None,
+         "q0": 0.15543067599045252, "cone_entry_t": None, "n_window": 21},
+        {"trial": 3, "status": "inconclusive", "alpha_hat": None, "r2": None,
+         "q0": 0.17684470040987402, "cone_entry_t": None, "n_window": 21},
+    ])
+    assert not res.passed and res.informational
+    assert (res.summary["n_slaved"], res.summary["n_inconclusive"]) == (2, 2)
+    assert res.summary["min_fit_samples"] == 100
+
+    # every pair slaved: a pass
+    cfg = s.ExperimentConfig(trials=2, seed=11, horizon=2.0, amplitude=0.5,
+                             family="gaussian_bumps")
+    res = s.run_attraction_rate(pi_problem, cfg, 3)
+    assert repr(res.trials) == repr([
+        {"trial": 0, "status": "slaved", "alpha_hat": None, "r2": None,
+         "q0": 0.1659463864771759, "cone_entry_t": 0.74, "n_window": 32},
+        {"trial": 1, "status": "slaved", "alpha_hat": None, "r2": None,
+         "q0": 0.16359828269702376, "cone_entry_t": 0.84, "n_window": 37},
+    ])
+    assert res.passed and not res.informational
+    assert res.summary["median_alpha"] is None
 
 
 def test_attraction_precondition_enforced(op_headline, nl):
