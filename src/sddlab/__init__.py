@@ -24,7 +24,7 @@ from .history import (HistorySegment, constant_history, norm_C, norm_L1L1,
 from .kernel import (KernelSpec, KernelVariant, eval_xi, l11_constant,
                      make_constant_kernel)
 from .nonlinear import (NonlinearitySpec, b_eval, b_prime, certified,
-                        certify_constants, delay_term, nicholson)
+                        delay_term, nicholson)
 from .solver import ProblemSpec, TrajectoryRecord, evolve, steps_for_horizon
 from .spectral import (GridField, ModeVector, OperatorSpec,
                        analytic_eigenvalues, eigenfunction, field_l2_norm,
@@ -39,7 +39,7 @@ __all__ = [
     "KernelVariant", "ModeVector", "NonlinearitySpec", "OperatorSpec",
     "ProblemSpec", "SynthesisResult", "TrajectoryRecord",
     "analytic_eigenvalues", "b_eval", "b_prime", "certified",
-    "certify_constants", "condition_report", "constant_history",
+    "condition_report", "constant_history",
     "delay_term", "eigenfunction", "emit", "eval_xi", "evolve",
     "field_l2_norm", "forward", "hat_project",
     "inverse", "l11_constant", "lipschitz_M1", "m1_constant",

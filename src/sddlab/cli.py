@@ -24,7 +24,7 @@ from .experiments import (FAMILIES, ExperimentConfig, cone_sign, emit,
                           run_coincidence, run_cone_invariance,
                           run_lipschitz_sampling)
 from .kernel import KernelSpec, KernelVariant, make_constant_kernel
-from .nonlinear import certified, nicholson
+from .nonlinear import nicholson
 from .solver import ProblemSpec, evolve, steps_for_horizon
 from .spectral import OperatorSpec
 
@@ -236,7 +236,7 @@ def build_problem(cfg: dict) -> ProblemSpec:
     else:
         ks = make_constant_kernel(kc["r"], kc["m"], kc["plus_integral"],
                                   kc["minus_integral"], kc["M_xi"])
-    nl = certified(nicholson(cfg["nonlinearity"]["p"]))
+    nl = _at("nonlinearity.p", nicholson, cfg["nonlinearity"]["p"])
     return ProblemSpec(operator=op, kernel=ks, nonlinearity=nl,
                        variant=KernelVariant(cfg["variant"]))
 
@@ -270,7 +270,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    nl = certified(nicholson(args.p))
+    nl = nicholson(args.p)
     r_grid = _at("grid", search_grid, "r", args.r_min, args.r_max,
                  args.r_points)
     mxi_grid = _at("grid", search_grid, "M_xi", args.mxi_min, args.mxi_max,

@@ -25,23 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, ContractViolation
+from .errors import ContractViolation
 from .kernel import KernelVariant, l11_constant
 from .nonlinear import NonlinearitySpec
 from .solver import ProblemSpec
 from .spectral import analytic_eigenvalues
 
-VERDICTS = ("IM_exists", "PIM_only", "neither_certified")
-
-VERDICT_NOTE = ("verdict certifies sufficient conditions for the named variant; "
-                "'neither_certified' does not assert nonexistence")
-
 
 def m1_constant(r: float, L_b: float, M_xi: float, M_b: float, l11: float,
                 domain_length: float) -> float:
     """M1 = r sqrt(2 (L_b^2 M_xi^2 + M_b^2 l11^2 L))."""
-    return r * np.sqrt(2.0 * (L_b * L_b * M_xi * M_xi
-                              + M_b * M_b * l11 * l11 * domain_length))
+    return float(r * np.sqrt(2.0 * (L_b * L_b * M_xi * M_xi
+                                    + M_b * M_b * l11 * l11 * domain_length)))
 
 
 def lipschitz_M1(problem: ProblemSpec, variant=None) -> float:
@@ -50,8 +45,6 @@ def lipschitz_M1(problem: ProblemSpec, variant=None) -> float:
         variant = problem.variant
     variant = KernelVariant(variant)
     nl = problem.nonlinearity
-    if not nl.constants_certified:
-        raise CertificationError("nonlinearity constants are not certified")
     l11 = l11_constant(problem.kernel, variant)
     return m1_constant(problem.r, nl.L_b, problem.kernel.M_xi, nl.M_b, l11,
                        problem.operator.domain_length)
@@ -130,35 +123,32 @@ def evaluate_certificate(*, lambda_N: float, lambda_N1: float, r: float,
     return values, flags
 
 
-def _verdict(flags: dict) -> str:
-    if flags["A4_pass"] and flags["bound3_pass_full"]:
-        return "IM_exists"
-    if flags["A4_pass"] and flags["bound3_pass_p"]:
-        return "PIM_only"
-    return "neither_certified"
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """The certificate at low-mode count N: ``values`` and ``flags`` in
-    report order, the verdict they imply, and the inputs they came from."""
+    report order, and the inputs they came from."""
 
     N: int
     values: dict
     flags: dict
-    verdict: str
-    note: str = VERDICT_NOTE
     inputs: dict = field(default_factory=dict)
 
+    note = ("verdict certifies sufficient conditions for the named variant; "
+            "'neither_certified' does not assert nonexistence")
+
     def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ContractViolation(f"verdict must be one of {VERDICTS}")
-        if self.verdict != _verdict(self.flags):
-            raise ContractViolation(
-                f"verdict {self.verdict} does not follow from the flags")
         gap = self.values["lambda_N1"] - self.values["lambda_N"]
         if not 0.0 < self.values["mu"] <= gap / 2.0:
             raise ContractViolation("mu must lie in (0, gap/2]")
+
+    @property
+    def verdict(self) -> str:
+        """IM_exists, PIM_only or neither_certified, as the flags imply."""
+        if self.flags["A4_pass"] and self.flags["bound3_pass_full"]:
+            return "IM_exists"
+        if self.flags["A4_pass"] and self.flags["bound3_pass_p"]:
+            return "PIM_only"
+        return "neither_certified"
 
     def to_dict(self) -> dict:
         return {"N": self.N, **self.values, "flags": dict(self.flags),
@@ -211,16 +201,21 @@ def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> C
         lambda_N=lam_N, lambda_N1=lam_N1, mu=mu,
         **{key: inputs[key] for key in ("r", "M_b", "L_b", "M_xi", "l11_p",
                                         "l11_n", "domain_length")})
-    return ConditionReport(N=N, values=values, flags=flags,
-                           verdict=_verdict(flags), inputs=inputs)
+    return ConditionReport(N=N, values=values, flags=flags, inputs=inputs)
 
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    feasible: bool
+    """A feasible point's ``params``, or None with an infeasibility
+    ``certificate``."""
+
     params: dict | None
     certificate: dict
     search: dict
+
+    @property
+    def feasible(self) -> bool:
+        return self.params is not None
 
     def to_dict(self) -> dict:
         return {
@@ -255,8 +250,6 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
     Returns the first feasible point in lexicographic (r, M_xi) order, or an
     infeasibility certificate naming the binding constraint.
     """
-    if not nonlinearity.constants_certified:
-        raise CertificationError("nonlinearity constants are not certified")
     if not (isinstance(N, int) and not isinstance(N, bool) and N >= 1):
         raise ContractViolation("N must be an int >= 1")
     L = float(domain_length)
@@ -305,7 +298,6 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                 n_flag_reject += 1
                 continue
             return SynthesisResult(
-                feasible=True,
                 params={
                     "N": N,
                     "domain_length": L,
@@ -365,5 +357,4 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
             certificate["detail"] = (
                 "every surveyed (r, M_xi) pair fails the r cap or has an "
                 "empty xi_minus window (minus_floor, r*M_xi/2]")
-    return SynthesisResult(feasible=False, params=None, certificate=certificate,
-                           search=search)
+    return SynthesisResult(params=None, certificate=certificate, search=search)

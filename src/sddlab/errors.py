@@ -16,7 +16,7 @@ class CapViolation(ContractViolation):
 
 
 class CertificationError(RuntimeError):
-    """Nonlinearity constants are missing, inconsistent, or failed to refine."""
+    """The search for the nonlinearity constants failed to settle."""
 
 
 class IntegrationFailure(RuntimeError):

@@ -1,16 +1,17 @@
 """The bounded birth-rate nonlinearity and the distributed delay term.
 
 The nonlinearity is the Nicholson-type law b(w) = p w^2 exp(-|w|), which is
-bounded with bounded derivative.  Certification locates M_b = sup|b| and
-L_b = sup|b'| numerically (dense grid on [0, 20], then golden-section
-refinement); for this family the exact values are M_b = 4 p e^-2 at w = 2 and
+bounded with bounded derivative.  A NonlinearitySpec takes only p and computes
+M_b = sup|b| and L_b = sup|b'| when it is built, so every spec carries the
+constants of its own p: a dense grid on [0, 20], then golden-section
+refinement, then a check that both functions have decayed at w = 20.  For
+this family the exact values are M_b = 4 p e^-2 at w = 2 and
 L_b = 2 p (sqrt(2)-1) exp(sqrt(2)-2) at w = 2 - sqrt(2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,27 +26,32 @@ _GRID_POINTS = 20001
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """The Nicholson law with amplitude p; ``certified`` fills in M_b, L_b."""
+    """The Nicholson law with amplitude p and its constants M_b, L_b."""
 
     p: float = 1.0
-    M_b: Optional[float] = None
-    L_b: Optional[float] = None
-    constants_certified: bool = False
+    M_b: float = field(init=False)
+    L_b: float = field(init=False)
 
     def __post_init__(self):
         p = float(self.p)
         if not (np.isfinite(p) and p > 0.0):
             raise ContractViolation("p must be finite and > 0")
         object.__setattr__(self, "p", p)
-        for name in ("M_b", "L_b"):
-            val = getattr(self, name)
-            if val is not None:
-                val = float(val)
-                if not (np.isfinite(val) and val >= 0.0):
-                    raise ContractViolation(f"{name} must be finite and >= 0")
-                object.__setattr__(self, name, val)
-        if self.constants_certified and (self.M_b is None or self.L_b is None):
-            raise ContractViolation("certified spec must carry M_b and L_b")
+        # |b| and |b'| are even and decay beyond their critical points, so
+        # the search on [0, 20] covers the line once the tail is checked
+        for name, f in (("M_b", lambda w: b_eval(self, w)),
+                        ("L_b", lambda w: np.abs(b_prime(self, w)))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = _grid_refine_max(f)
+                tail = f(np.array([_SEARCH_HI]))[0]
+            if not (np.isfinite(top) and np.isfinite(tail)):
+                raise ContractViolation(
+                    f"p={p!r} is too large: the search for {name} overflows")
+            if tail > 1e-3 * top:
+                raise CertificationError(
+                    f"the function bounded by {name} does not decay within "
+                    "the search interval")
+            object.__setattr__(self, name, float(top))
 
 
 def nicholson(p: float = 1.0) -> NonlinearitySpec:
@@ -66,8 +72,8 @@ def b_prime(spec: NonlinearitySpec, w):
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12,
-                maxiter: int = 200) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
+                maxiter: int = 200) -> float:
+    """Golden-section maximization on [lo, hi]; returns the maximum."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -75,8 +81,7 @@ def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12,
     fc, fd = f(c), f(d)
     for _ in range(maxiter):
         if b - a <= xtol:
-            x = 0.5 * (a + b)
-            return x, f(x)
+            return f(0.5 * (a + b))
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -88,7 +93,7 @@ def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12,
     raise CertificationError("golden-section refinement did not converge")
 
 
-def _grid_refine_max(f) -> tuple[float, float]:
+def _grid_refine_max(f) -> float:
     grid = np.linspace(0.0, _SEARCH_HI, _GRID_POINTS)
     vals = f(grid)
     i = int(np.argmax(vals))
@@ -98,40 +103,14 @@ def _grid_refine_max(f) -> tuple[float, float]:
     return _golden_max(f, lo, hi)
 
 
-def certify_constants(spec: NonlinearitySpec) -> tuple[float, float]:
-    """Compute (M_b, L_b) = (sup|b|, sup|b'|) for the Nicholson family.
-
-    Both |b| and |b'| are even and decay for w beyond their critical points,
-    so the search on [0, 20] covers the line; the decay is verified at the
-    right edge before the result is accepted.
-    """
-    def absb(w):
-        return b_eval(spec, w)
-
-    def absdb(w):
-        return np.abs(b_prime(spec, w))
-
-    w_mb, M_b = _grid_refine_max(absb)
-    w_lb, L_b = _grid_refine_max(absdb)
-    # decay check: the tail at the search edge must sit far below the max
-    if absb(np.array([_SEARCH_HI]))[0] > 1e-3 * M_b:
-        raise CertificationError("b does not decay within the search interval")
-    if absdb(np.array([_SEARCH_HI]))[0] > 1e-3 * L_b:
-        raise CertificationError("b' does not decay within the search interval")
-    return float(M_b), float(L_b)
-
-
 def certified(spec: NonlinearitySpec) -> NonlinearitySpec:
-    """Return a copy with certified constants filled in."""
-    M_b, L_b = certify_constants(spec)
-    return replace(spec, M_b=M_b, L_b=L_b, constants_certified=True)
+    """The spec itself: every NonlinearitySpec carries its constants."""
+    return spec
 
 
 def delay_term(nl: NonlinearitySpec, ks: KernelSpec, v: HistorySegment,
                variant=KernelVariant.FULL) -> GridField:
     """The forcing field x -> int_{-r}^0 b(v(theta, x)) xi(theta, v) dtheta."""
-    if not nl.constants_certified:
-        raise CertificationError("nonlinearity constants are not certified")
     xi = eval_xi(ks, v, variant)
     w = theta_weights(ks.r, ks.m) * xi
     return GridField(w @ b_eval(nl, v.values))

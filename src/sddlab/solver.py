@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificationError, ContractViolation, GridMismatch, IntegrationFailure
+from .errors import ContractViolation, GridMismatch, IntegrationFailure
 from .history import HistorySegment, theta_weights
 from .kernel import (KernelSpec, KernelVariant, _as_variant, combine_profiles,
                      gates, sign_masses)
@@ -38,9 +38,6 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", _as_variant(self.variant))
-        if not self.nonlinearity.constants_certified:
-            raise CertificationError(
-                "nonlinearity constants must be certified before use")
 
     @property
     def r(self) -> float:

@@ -14,7 +14,7 @@ import sddlab as s
 
 @pytest.fixture(scope="session")
 def nl():
-    return s.certified(s.nicholson(1.0))
+    return s.nicholson(1.0)
 
 
 @pytest.fixture(scope="session")

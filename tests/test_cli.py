@@ -204,7 +204,9 @@ def test_experiment_golden(name, config, trials, tmp_path, capsys):
     golden = GOLDEN / "experiment" / name
     assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
     for path in golden.iterdir():
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        text = (tmp_path / path.name).read_bytes()
+        assert text == path.read_bytes(), path.name
+        assert b"np." not in text, path.name  # every cell a plain repr
 
 
 # each search-grid flag at its default value
@@ -219,6 +221,13 @@ def test_synthesize_default_grid_flag_changes_nothing(flag, capsys):
         plain = capsys.readouterr().out
         assert main(["synthesize", *base, flag, GRID_FLAGS[flag]]) == code
         assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("p", ["4.4943e305", "5e305", "1e308"])
+def test_synthesize_huge_p(p, capsys):
+    assert main(["synthesize", "-N", "1", "-L", "100", "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert f"p={float(p)!r} is too large" in err and "Warning" not in err
 
 
 def test_synthesize_missing_N():
@@ -455,7 +464,9 @@ CONFIG_KEYS = {
     "kernel.xi_minus": ([-0.2, [None], [NAN]], [], True, False),
     "nonlinearity": ([[], "nicholson"], [], True, False),
     "nonlinearity.kind": ([1, True], ["bounded_custom", "Nicholson"], True, False),
-    "nonlinearity.p": (["1", True], [0, -1.0], False, False),
+    # past ~4.5e305 the search for M_b and L_b overflows
+    "nonlinearity.p": (["1", True], [0, -1.0, 4.4943e305, 5e305, 1e308],
+                       False, False),
     "variant": ([1, True, ["p"]], ["positive", "P"], False, False),
     "conditions": ([[], 3], [], False, False),
     "conditions.N": ([3.0, True, "3"], [0, -2], True, False),
@@ -518,6 +529,7 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
             assert main(cmd + [cfg]) == 2, (cmd, cfg_dict, key)
             err = capsys.readouterr().err
             assert key in err and "Traceback" not in err, (cmd, err)
+            assert "Warning" not in err, (cmd, err)
 
 
 @pytest.mark.parametrize("argv, key", [

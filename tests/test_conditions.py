@@ -1,5 +1,6 @@
 """Certificate arithmetic: M1, gap conditions, caps, verdicts, and synthesis."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import sddlab as s
 from sddlab.conditions import FLAGS, evaluate_certificate, search_grid
-from sddlab.errors import CertificationError, ContractViolation
+from sddlab.errors import ContractViolation
 
 # frozen reference values (high-precision evaluation of the closed forms,
 # headline configuration: p=1, L=100, N=1, r=0.5, M_xi=8e-4, 6e-5 / 1.8e-4)
@@ -33,6 +34,7 @@ R_THRESHOLD_100 = 0.3407528184656318
 
 
 def test_m1_constant_frozen():
+    assert type(s.m1_constant(0.5, L_B, 8e-4, M_B, 6e-5, 100.0)) is float
     assert s.m1_constant(0.5, L_B, 8e-4, M_B, 6e-5, 100.0) == pytest.approx(
         M1_P, rel=1e-13)
     assert s.m1_constant(0.5, L_B, 8e-4, M_B, 1.8e-4, 100.0) == pytest.approx(
@@ -151,6 +153,17 @@ def test_condition_report_neither(op_headline, nl):
     assert "does not assert nonexistence" in rep.note
 
 
+def test_forged_constants_negative_control(op_headline, headline_kernel):
+    # the p=1 constants on a p=5 spec would certify headline as PIM_only;
+    # such a spec cannot be built, and the honest p=5 spec certifies nothing
+    with pytest.raises(TypeError):
+        s.NonlinearitySpec(p=5.0, M_b=0.5413411329464507,
+                           L_b=0.4611587920072035, constants_certified=True)
+    prob = s.ProblemSpec(operator=op_headline, kernel=headline_kernel,
+                         nonlinearity=s.nicholson(5.0))
+    assert s.condition_report(prob, 1).verdict == "neither_certified"
+
+
 def test_condition_report_mu_override(headline_problem):
     rep = s.condition_report(headline_problem, 1, mu=MU / 2.0)
     assert rep.values["mu"] == pytest.approx(MU / 2.0, rel=1e-15)
@@ -179,11 +192,15 @@ def test_report_verdict_invariants(headline_problem):
     rows = dict(rep.csv_rows())
     assert rows["verdict"] == "PIM_only"
     assert float(rows["M1_p"]) == rep.values["M1_p"]
-    # inconsistent verdicts are rejected at construction
-    import dataclasses
+    # the verdict follows from the flags and cannot be passed in
     for verdict in ("IM_exists", "neither_certified", "certified"):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(TypeError):
             dataclasses.replace(rep, verdict=verdict)
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, note="certified")
+    flipped = dataclasses.replace(
+        rep, flags={**rep.flags, "bound3_pass_full": True})
+    assert flipped.verdict == "IM_exists"
 
 
 def test_synthesize_feasible_first_hit(nl):
@@ -277,8 +294,11 @@ def test_synthesize_contracts(nl):
         s.synthesize_params(1, nl, 100.0, margin=-0.1)
     with pytest.raises(ContractViolation):
         s.synthesize_params(1, nl, 100.0, r_grid=np.array([]))
-    with pytest.raises(CertificationError):
-        s.synthesize_params(1, s.nicholson(1.0), 100.0)
+    # feasibility follows from the params and cannot be passed in
+    with pytest.raises(TypeError):
+        s.SynthesisResult(feasible=True, params=None, certificate={},
+                          search={})
+    assert not s.SynthesisResult(params=None, certificate={}, search={}).feasible
 
 
 def test_synthesis_result_serialization(nl):

@@ -1,10 +1,12 @@
 """Nonlinearity evaluation, constant certification, and the delay forcing term."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sddlab as s
-from sddlab.errors import CertificationError, ContractViolation
+from sddlab.errors import ContractViolation
 
 # frozen closed forms (p = 1): sup b at w = 2, sup |b'| at w = 2 - sqrt(2)
 M_B_CLOSED = 0.54134113294645077  # 4 e^{-2}
@@ -50,7 +52,27 @@ def test_p_scaling_exact():
 def test_certified_constants_match_closed_forms(nl):
     assert nl.M_b == pytest.approx(M_B_CLOSED, abs=1e-9)
     assert nl.L_b == pytest.approx(L_B_CLOSED, abs=1e-9)
-    assert nl.constants_certified
+
+
+# p -> the bits of (M_b, L_b) from the grid plus golden-section search; a
+# change to how the constants are computed must not move them
+CONSTANTS_BITS = {
+    0.5: ("0x1.152aaa3bf81cbp-2", "0x1.d83a02a7bc377p-3"),
+    1.0: ("0x1.152aaa3bf81cbp-1", "0x1.d83a02a7bc377p-2"),
+    2.0: ("0x1.152aaa3bf81cbp+0", "0x1.d83a02a7bc377p-1"),
+    1e-3: ("0x1.1bd193b224fa9p-11", "0x1.e38f5ee10244fp-12"),
+    3.7: ("0x1.006110aaabe76p+1", "0x1.b4cf4274c14cbp+0"),
+    1e300: ("0x1.9ddf0d43fc362p+995", "0x1.6091cc7f3cb24p+995"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(CONSTANTS_BITS))
+def test_constants_bitwise(p):
+    spec = s.nicholson(p)
+    assert (spec.M_b.hex(), spec.L_b.hex()) == CONSTANTS_BITS[p]
+    assert type(spec.M_b) is float and type(spec.L_b) is float
+    if p == 1.0:
+        assert (spec.M_b, spec.L_b) == (0.5413411329464507, 0.4611587920072035)
 
 
 def test_certified_constants_match_independent_refinement(nl):
@@ -61,32 +83,27 @@ def test_certified_constants_match_independent_refinement(nl):
 
 
 def test_certified_scales_with_p(nl):
-    nl2 = s.certified(s.nicholson(2.0))
+    nl2 = s.nicholson(2.0)
     assert nl2.M_b == pytest.approx(2.0 * nl.M_b, rel=1e-12)
     assert nl2.L_b == pytest.approx(2.0 * nl.L_b, rel=1e-12)
 
 
-def test_certified_leaves_original_untouched():
-    raw = s.nicholson(1.0)
-    s.certified(raw)
-    assert raw.M_b is None and not raw.constants_certified
-
-
 def test_nonlinearity_contracts():
-    with pytest.raises(ContractViolation):
-        s.nicholson(0.0)
-    with pytest.raises(ContractViolation):
-        s.nicholson(-1.0)
-    with pytest.raises(ContractViolation):
-        s.NonlinearitySpec(constants_certified=True)
-    with pytest.raises(ContractViolation):
-        s.NonlinearitySpec(M_b=float("nan"), L_b=1.0)
-
-
-def test_delay_term_requires_certified(headline_kernel, op_headline):
-    v = s.constant_history(op_headline, 0.5, 50, 1.0)
-    with pytest.raises(CertificationError):
-        s.delay_term(s.nicholson(1.0), headline_kernel, v)
+    for p in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ContractViolation, match="finite and > 0"):
+            s.nicholson(p)
+    # the constants follow from p alone and cannot be passed in
+    for forged in ({"M_b": 1.0}, {"L_b": 1.0}, {"constants_certified": True}):
+        with pytest.raises(TypeError):
+            s.NonlinearitySpec(p=1.0, **forged)
+    with pytest.raises(ValueError):
+        dataclasses.replace(s.nicholson(5.0), M_b=0.5413411329464507)
+    # replace recomputes them for the new p
+    assert dataclasses.replace(s.nicholson(1.0), p=2.0) == s.nicholson(2.0)
+    # past ~4.5e305 the search overflows, at 4.4943e305 only at the tail
+    for p in (4.4943e305, 5e305, 1e308):
+        with pytest.raises(ContractViolation, match="p=.* is too large"):
+            s.nicholson(p)
 
 
 def test_delay_term_zero_state(nl, headline_kernel, op_headline):

@@ -25,9 +25,6 @@ def test_problem_spec_properties(headline_problem):
 
 
 def test_problem_spec_contracts(op_headline, headline_kernel, nl):
-    with pytest.raises(s.CertificationError):
-        s.ProblemSpec(operator=op_headline, kernel=headline_kernel,
-                      nonlinearity=s.nicholson(1.0))
     with pytest.raises(ContractViolation):
         s.ProblemSpec(operator=op_headline, kernel=headline_kernel,
                       nonlinearity=nl, variant="both")
