@@ -13,8 +13,8 @@ attraction rate).
 from .conditions import (ConditionReport, SynthesisResult, condition_report,
                          lipschitz_M1, m1_constant, remark_caps,
                          synthesize_params)
-from .errors import (CapViolation, CertificationError, ConfigError,
-                     ContractViolation, GridMismatch, IntegrationFailure)
+from .errors import (CapViolation, ConfigError, ContractViolation,
+                     GridMismatch, IntegrationFailure)
 from .experiments import (ExperimentConfig, ExperimentResult, emit,
                           make_initial_history, run_attraction_rate,
                           run_coincidence, run_cone_invariance,
@@ -28,12 +28,12 @@ from .nonlinear import (NonlinearitySpec, b_eval, b_prime, certified,
 from .solver import ProblemSpec, TrajectoryRecord, evolve, steps_for_horizon
 from .spectral import (GridField, ModeVector, OperatorSpec,
                        analytic_eigenvalues, eigenfunction, field_l2_norm,
-                       forward, hat_project, inverse)
+                       forward, inverse)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapViolation", "CertificationError", "ConditionReport", "ConfigError",
+    "CapViolation", "ConditionReport", "ConfigError",
     "ContractViolation", "ExperimentConfig", "ExperimentResult", "GridField",
     "GridMismatch", "HistorySegment", "IntegrationFailure", "KernelSpec",
     "KernelVariant", "ModeVector", "NonlinearitySpec", "OperatorSpec",
@@ -41,7 +41,7 @@ __all__ = [
     "analytic_eigenvalues", "b_eval", "b_prime", "certified",
     "condition_report", "constant_history",
     "delay_term", "eigenfunction", "emit", "eval_xi", "evolve",
-    "field_l2_norm", "forward", "hat_project",
+    "field_l2_norm", "forward",
     "inverse", "l11_constant", "lipschitz_M1", "m1_constant",
     "make_constant_kernel", "make_initial_history", "nicholson", "norm_C",
     "norm_L1L1", "remark_caps", "run_attraction_rate", "run_coincidence",

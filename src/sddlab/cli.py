@@ -17,16 +17,15 @@ import sys
 import numpy as np
 
 from .conditions import condition_report, search_grid, synthesize_params
-from .errors import (CertificationError, ConfigError, ContractViolation,
-                     IntegrationFailure)
-from .experiments import (FAMILIES, ExperimentConfig, cone_sign, emit,
-                          make_initial_history, run_attraction_rate,
-                          run_coincidence, run_cone_invariance,
-                          run_lipschitz_sampling)
+from .errors import ConfigError, ContractViolation, IntegrationFailure
+from .experiments import (FAMILIES, ExperimentConfig, cone_sign, csv_text,
+                          emit, json_text, make_initial_history,
+                          run_attraction_rate, run_coincidence,
+                          run_cone_invariance, run_lipschitz_sampling)
 from .kernel import KernelSpec, KernelVariant, make_constant_kernel
 from .nonlinear import nicholson
 from .solver import ProblemSpec, evolve, steps_for_horizon
-from .spectral import OperatorSpec
+from .spectral import GridField, OperatorSpec, field_l2_norm, forward
 
 _REQUIRED = object()
 
@@ -227,15 +226,15 @@ def _run_steps(section: str, kernel: KernelSpec, horizon: float,
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
-    op = OperatorSpec(**cfg["operator"])
+    op = _at("operator", OperatorSpec, **cfg["operator"])
     kc = cfg["kernel"]
     if "xi_plus" in kc:
-        ks = KernelSpec(r=kc["r"], m=kc["m"],
-                        xi_plus=np.asarray(kc["xi_plus"]),
-                        xi_minus=np.asarray(kc["xi_minus"]), M_xi=kc["M_xi"])
+        ks = _at("kernel", KernelSpec, r=kc["r"], m=kc["m"],
+                 xi_plus=np.asarray(kc["xi_plus"]),
+                 xi_minus=np.asarray(kc["xi_minus"]), M_xi=kc["M_xi"])
     else:
-        ks = make_constant_kernel(kc["r"], kc["m"], kc["plus_integral"],
-                                  kc["minus_integral"], kc["M_xi"])
+        ks = _at("kernel", make_constant_kernel, kc["r"], kc["m"],
+                 kc["plus_integral"], kc["minus_integral"], kc["M_xi"])
     nl = _at("nonlinearity.p", nicholson, cfg["nonlinearity"]["p"])
     return ProblemSpec(operator=op, kernel=ks, nonlinearity=nl,
                        variant=KernelVariant(cfg["variant"]))
@@ -246,10 +245,10 @@ def _default_outdir(flag_value) -> str:
 
 
 def _write_or_print(text: str, output) -> None:
-    print(text, end="" if text.endswith("\n") else "\n")
+    print(text, end="")
     if output:
         with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def cmd_check(args) -> int:
@@ -260,9 +259,10 @@ def cmd_check(args) -> int:
     report = _at("conditions", condition_report, problem,
                  cfg["conditions"]["N"], cfg["conditions"]["mu"])
     if args.format == "csv":
-        text = "\n".join(f"{key},{val}" for key, val in report.csv_rows()) + "\n"
+        text = csv_text({"N": report.N, **report.values, "verdict": report.verdict,
+                         "note": report.note, **report.flags}.items())
     else:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        text = json_text(report.to_dict())
     _write_or_print(text, args.output)
     if report.verdict != "neither_certified" or args.allow_uncertified:
         return 0
@@ -281,13 +281,11 @@ def cmd_synthesize(args) -> int:
     if args.format == "csv":
         flat = {"feasible": result.feasible}
         for src in (result.params or {}), result.certificate:
-            for key, val in src.items():
-                if isinstance(val, (int, float, bool, str)):
-                    flat[key] = val
-        text = "\n".join(f"{key},{repr(val) if isinstance(val, float) else val}"
-                         for key, val in flat.items()) + "\n"
+            flat.update((key, val) for key, val in src.items()
+                        if isinstance(val, (int, float, bool, str)))
+        text = csv_text(flat.items())
     else:
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+        text = json_text(result.to_dict())
     _write_or_print(text, args.output)
     return 0 if result.feasible else 1
 
@@ -305,17 +303,31 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(init["seed"])
     phi = make_initial_history(problem.operator, problem.r, problem.m,
                                init["family"], init["amplitude"], rng)
-    [rec] = _at("simulation.record_modes", evolve, problem, [phi], steps,
-                stride=sim["stride"], record_modes=sim["record_modes"])
+    op = problem.operator
+    n_modes = op.modes if sim["record_modes"] is None else sim["record_modes"]
+    if n_modes > op.modes:
+        raise ConfigError("simulation.record_modes", "record_modes must be in 1..K")
+    [rec] = evolve(problem, [phi], steps, stride=sim["stride"], record_fields=True)
+    # the sampled states as columns: low-mode coefficients, the L2 norm above
+    # them, the full L2 norm and the smallest grid value
+    field = GridField(rec.fields)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge but finite states
+        low = forward(op, field).coeffs[:, :n_modes]
+        full = field_l2_norm(op, field)
+        # per row, the dot product np.dot(a, a) takes
+        high2 = full * full - np.matmul(low[:, None, :], low[:, :, None])[:, 0, 0]
+    columns = {"times": rec.times, "low_modes": low,
+               "high_norm": np.sqrt(np.maximum(high2, 0.0)), "full_norm": full,
+               "min_value": rec.fields.min(axis=1)}
     output = args.output or os.path.join(_default_outdir(None), "trajectory.csv")
     if args.format == "json":
-        payload = {key: getattr(rec, key).tolist() for key in
-                   ("times", "low_modes", "high_norm", "full_norm", "min_value")}
-        payload.update(min_overall=rec.min_overall,
-                       max_overall=rec.max_overall, stride=rec.stride)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text({**{key: val.tolist() for key, val in columns.items()},
+                          "min_overall": rec.min_overall,
+                          "max_overall": rec.max_overall, "stride": rec.stride})
     else:
-        text = rec.to_csv_text()
+        header = ["t", *(f"a_{k}" for k in range(1, n_modes + 1)),
+                  "high_norm", "full_norm", "min_value"]
+        text = csv_text([header] + np.column_stack(list(columns.values())).tolist())
     with open(output, "w") as fh:
         fh.write(text)
     print(f"wrote {output}")
@@ -432,7 +444,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2
-    except (ContractViolation, CertificationError) as exc:
+    except ContractViolation as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IntegrationFailure as exc:

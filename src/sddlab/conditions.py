@@ -59,18 +59,20 @@ def remark_caps(lambda_N: float, lambda_N1: float, r: float, M_b: float,
     minus_floor: int|xi_minus| > gap E / (8 r M_b sqrt(L))  (kills the full bound)
     minus_top:   r M_xi / 2, the largest integral the sup cap allows
 
-    with E = exp(-(lambda_N + lambda_{N+1}) r / 2).
+    with E = exp(-(lambda_N + lambda_{N+1}) r / 2).  A denominator that
+    overflows (p near the float limit) makes its cap 0.0, without a warning.
     """
     gap = lambda_N1 - lambda_N
     E = np.exp(-(lambda_N + lambda_N1) * r / 2.0)
     root = np.sqrt(domain_length)
-    return {
-        "E": float(E),
-        "r_cap": float(gap * E / (16.0 * L_b * M_xi)),
-        "plus_cap": float(gap * E / (16.0 * r * M_b * root)),
-        "minus_floor": float(gap * E / (8.0 * r * M_b * root)),
-        "minus_top": float(r * M_xi / 2.0),
-    }
+    with np.errstate(over="ignore"):
+        return {
+            "E": float(E),
+            "r_cap": float(gap * E / (16.0 * L_b * M_xi)),
+            "plus_cap": float(gap * E / (16.0 * r * M_b * root)),
+            "minus_floor": float(gap * E / (8.0 * r * M_b * root)),
+            "minus_top": float(r * M_xi / 2.0),
+        }
 
 
 # flag -> the inequalities (lhs, rhs, strict) it is the AND of, each read as
@@ -154,14 +156,6 @@ class ConditionReport:
         return {"N": self.N, **self.values, "flags": dict(self.flags),
                 "verdict": self.verdict, "note": self.note,
                 "inputs": self.inputs}
-
-    def csv_rows(self) -> list[tuple[str, str]]:
-        """N, the values, verdict and note, then the flags."""
-        head = {"N": self.N, **self.values, "verdict": self.verdict,
-                "note": self.note}
-        return ([(key, repr(val) if isinstance(val, float) else str(val))
-                 for key, val in head.items()]
-                + [(flag, str(val)) for flag, val in self.flags.items()])
 
 
 def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> ConditionReport:

@@ -15,10 +15,6 @@ class CapViolation(ContractViolation):
     """A kernel profile exceeds its sup cap; the message names the inequality."""
 
 
-class CertificationError(RuntimeError):
-    """The search for the nonlinearity constants failed to settle."""
-
-
 class IntegrationFailure(RuntimeError):
     """Time stepping produced a non-finite state.
 

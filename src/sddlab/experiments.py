@@ -441,14 +441,19 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
                             summary=summary, informational=informational)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def csv_text(lines) -> str:
+    """One text line per row of cells: a float by repr, None as an empty
+    cell, anything else by str."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+    return "".join(",".join(map(cell, row)) + "\n" for row in lines)
+
+
+def json_text(obj) -> str:
+    """The JSON document of every output: sorted keys, two-space indent."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def emit(results: list, out_dir: str, format: str = "both") -> list[str]:
@@ -458,27 +463,18 @@ def emit(results: list, out_dir: str, format: str = "both") -> list[str]:
         raise ContractViolation("format must be 'json', 'csv', or 'both'")
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if format in ("json", "both"):
-        path = os.path.join(out_dir, "summary.json")
-        payload = [res.summary_dict() for res in results]
+
+    def write(name: str, text: str) -> None:
+        path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         written.append(path)
+
+    if format in ("json", "both"):
+        write("summary.json", json_text([res.summary_dict() for res in results]))
     if format in ("csv", "both"):
         for res in results:
-            path = os.path.join(out_dir, f"{res.name}.csv")
-            keys = []
-            for row in res.trials:
-                for key in row:
-                    if key not in keys:
-                        keys.append(key)
-            lines = []
-            if keys:
-                lines.append(",".join(keys))
-                for row in res.trials:
-                    lines.append(",".join(_csv_cell(row.get(key)) for key in keys))
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + ("\n" if lines else ""))
-            written.append(path)
+            keys = list(dict.fromkeys(key for row in res.trials for key in row))
+            rows = [[row.get(key) for key in keys] for row in res.trials]
+            write(f"{res.name}.csv", csv_text([keys] + rows if keys else []))
     return written

@@ -58,9 +58,6 @@ class HistorySegment:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def theta_nodes(self) -> np.ndarray:
-        return -self.r + np.arange(self.m + 1) * (self.r / self.m)
-
     def current(self) -> GridField:
         return GridField(self.values[self.m])
 

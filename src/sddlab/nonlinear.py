@@ -4,7 +4,8 @@ The nonlinearity is the Nicholson-type law b(w) = p w^2 exp(-|w|), which is
 bounded with bounded derivative.  A NonlinearitySpec takes only p and computes
 M_b = sup|b| and L_b = sup|b'| when it is built, so every spec carries the
 constants of its own p: a dense grid on [0, 20], then golden-section
-refinement, then a check that both functions have decayed at w = 20.  For
+refinement.  Both functions have decayed below 2e-6 of their maxima at
+w = 20, whatever p is, so the search covers the line.  For
 this family the exact values are M_b = 4 p e^-2 at w = 2 and
 L_b = 2 p (sqrt(2)-1) exp(sqrt(2)-2) at w = 2 - sqrt(2).
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, ContractViolation
+from .errors import ContractViolation
 from .history import HistorySegment, theta_weights
 from .kernel import KernelSpec, KernelVariant, eval_xi
 from .spectral import GridField
@@ -38,7 +39,7 @@ class NonlinearitySpec:
             raise ContractViolation("p must be finite and > 0")
         object.__setattr__(self, "p", p)
         # |b| and |b'| are even and decay beyond their critical points, so
-        # the search on [0, 20] covers the line once the tail is checked
+        # the search on [0, 20] covers the line
         for name, f in (("M_b", lambda w: b_eval(self, w)),
                         ("L_b", lambda w: np.abs(b_prime(self, w)))):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -47,10 +48,6 @@ class NonlinearitySpec:
             if not (np.isfinite(top) and np.isfinite(tail)):
                 raise ContractViolation(
                     f"p={p!r} is too large: the search for {name} overflows")
-            if tail > 1e-3 * top:
-                raise CertificationError(
-                    f"the function bounded by {name} does not decay within "
-                    "the search interval")
             object.__setattr__(self, name, float(top))
 
 
@@ -71,17 +68,15 @@ def b_prime(spec: NonlinearitySpec, w):
     return spec.p * (2.0 * w - np.sign(w) * w * w) * np.exp(-np.abs(w))
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12,
-                maxiter: int = 200) -> float:
-    """Golden-section maximization on [lo, hi]; returns the maximum."""
+def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
+    """Golden-section maximization on [lo, hi]; returns the maximum.  Each
+    pass shrinks the interval by the same factor, so the loop ends."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(maxiter):
-        if b - a <= xtol:
-            return f(0.5 * (a + b))
+    while b - a > xtol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -90,7 +85,7 @@ def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12,
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    raise CertificationError("golden-section refinement did not converge")
+    return f(0.5 * (a + b))
 
 
 def _grid_refine_max(f) -> float:

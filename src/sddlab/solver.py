@@ -23,8 +23,7 @@ from .history import HistorySegment, theta_weights
 from .kernel import (KernelSpec, KernelVariant, _as_variant, combine_profiles,
                      gates, sign_masses)
 from .nonlinear import NonlinearitySpec, b_eval
-from .spectral import (GridField, OperatorSpec, dst, field_l2_norm, forward,
-                       full_discrete_eigenvalues, idst)
+from .spectral import OperatorSpec, dst, full_discrete_eigenvalues, idst
 
 
 @dataclass(frozen=True)
@@ -119,45 +118,22 @@ class _Engine:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Sampled trajectory data plus per-step extrema.
+    """Sample times, per-step extrema and, optionally, the sampled states.
 
     times: sample times t (step 0 and every ``stride`` steps plus the final step)
-    low_modes: (n_samples, N_rec) coefficients against e_1 .. e_N_rec
-    high_norm: L2 norm of the component above mode N_rec at each sample
-    full_norm: full L2 norm at each sample
-    min_value: smallest grid value at each sample
     min_overall/max_overall: extrema over every step, not just samples
-    fields: optional (n_samples, n_x) raw snapshots
+    fields: (n_samples, n_x) states at the sample times, when recorded
     """
 
     times: np.ndarray
-    low_modes: np.ndarray
-    high_norm: np.ndarray
-    full_norm: np.ndarray
-    min_value: np.ndarray
     min_overall: float
     max_overall: float
     stride: int
     fields: Optional[np.ndarray] = None
 
-    def to_csv_text(self) -> str:
-        n_modes = self.low_modes.shape[1]
-        header = "t," + ",".join(f"a_{k}" for k in range(1, n_modes + 1)) \
-            + ",high_norm,full_norm,min_value"
-        lines = [header]
-        for i in range(self.times.size):
-            cells = [repr(float(self.times[i]))]
-            cells += [repr(float(c)) for c in self.low_modes[i]]
-            cells += [repr(float(self.high_norm[i])),
-                      repr(float(self.full_norm[i])),
-                      repr(float(self.min_value[i]))]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
-           stride: int = 10, record_modes: Optional[int] = None,
-           record_fields: bool = False) -> list[TrajectoryRecord]:
+           stride: int = 10, record_fields: bool = False) -> list[TrajectoryRecord]:
     """Run ``steps`` steps from every history in ``phis`` in lockstep,
     sampling every ``stride`` steps; returns one record per history.
 
@@ -171,24 +147,13 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
         raise ContractViolation("steps must be an int >= 0")
     if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
         raise ContractViolation("stride must be an int >= 1")
-    op = problem.operator
-    if record_modes is None:
-        record_modes = op.modes
-    if not 1 <= record_modes <= op.modes:
-        raise ContractViolation("record_modes must be in 1..K")
 
     eng = _Engine(problem, phis)
     h = problem.h
-    times, samples, fields = [], [], []
+    times, fields = [], []
 
-    def sample(k: int, u: np.ndarray, u_min: np.ndarray):
-        field = GridField(u)
-        a = forward(op, field).coeffs[:, :record_modes]
-        full = field_l2_norm(op, field)
-        # per row, the dot product np.dot(a, a) takes
-        high2 = full * full - np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+    def sample(k: int, u: np.ndarray):
         times.append(k * h)
-        samples.append((a, np.sqrt(np.maximum(high2, 0.0)), full, u_min))
         if record_fields:
             fields.append(u)
 
@@ -198,7 +163,7 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     # overflow/invalid warnings are redundant: the finiteness check turns
     # any blow-up into IntegrationFailure
     with np.errstate(over="ignore", invalid="ignore"):
-        sample(0, u, min_overall)
+        sample(0, u)
         for k in range(1, steps + 1):
             u = eng.advance()
             if not np.isfinite(u).all():
@@ -210,16 +175,14 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
             min_overall = np.where(u_min < min_overall, u_min, min_overall)
             max_overall = np.where(u_max > max_overall, u_max, max_overall)
             if k % stride == 0 or k == steps:
-                sample(k, u, u_min)
+                sample(k, u)
     for row, k in enumerate(failed_at):
         if k:
             raise IntegrationFailure(k, k * h, row)
 
-    # per sample (B, ...) arrays -> per row (n_samples, ...) arrays
-    lows, highs, fulls, mins = (np.stack(x, axis=1) for x in zip(*samples))
+    # per sample (B, n_x) states -> per row (n_samples, n_x) fields
     fields = np.stack(fields, axis=1) if record_fields else [None] * len(phis)
     return [TrajectoryRecord(
-        times=np.asarray(times), low_modes=lows[i], high_norm=highs[i],
-        full_norm=fulls[i], min_value=mins[i], min_overall=float(min_overall[i]),
+        times=np.asarray(times), min_overall=float(min_overall[i]),
         max_overall=float(max_overall[i]), stride=stride, fields=fields[i])
         for i in range(len(phis))]

@@ -167,25 +167,3 @@ def field_l2_norm(spec: OperatorSpec, field: GridField):
         return np.sqrt(spec.h_x * np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
     return float(np.sqrt(spec.h_x * np.dot(v, v)))
 
-
-def hat_project(spec: OperatorSpec, history, N: int):
-    """Low-mode semigroup extension of the current state across the delay window.
-
-    Maps a history segment phi to the segment whose snapshot at theta_j is
-    sum_{k<=N} exp(-lambda_k theta_j) <phi(0), e_k> e_k.  Note theta_j <= 0, so
-    the low modes are amplified backwards in time.  Idempotent on its range.
-    """
-    from .history import HistorySegment  # local import, history depends on this module
-
-    _require(isinstance(N, int) and not isinstance(N, bool), "N must be an int")
-    _require(1 <= N <= spec.modes, "N must be in 1..K")
-    if history.operator != spec:
-        raise GridMismatch("history was built on a different operator grid")
-    lam = analytic_eigenvalues(spec)[:N]
-    c0 = forward(spec, history.current()).coeffs[:N]
-    rows = np.empty_like(history.values)
-    padded = np.zeros(spec.modes)
-    for j, theta in enumerate(history.theta_nodes()):
-        padded[:N] = c0 * np.exp(-lam * theta)
-        rows[j] = inverse(spec, ModeVector(padded)).values
-    return HistorySegment(operator=spec, r=history.r, m=history.m, values=rows)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sddlab
@@ -187,6 +188,38 @@ def test_csv_golden(golden, argv, code, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("golden, argv, code", [
+    ("simulate_gap_pi.csv", ["simulate", "gap_pi.json", "--horizon", "0.5"], 0),
+    ("simulate_gap_pi.json",
+     ["simulate", "gap_pi.json", "--horizon", "0.5", "--format", "json"], 0),
+    ("simulate_gap_pi_modes3.csv",
+     ["simulate", "modes3.json", "--horizon", "0.5"], 0),
+    ("check_headline.json", ["check", "headline.json"], 0),
+    ("synthesize_N1_L100.json", ["synthesize", "-N", "1", "-L", "100"], 0),
+    ("synthesize_N3_Lpi.json",
+     ["synthesize", "-N", "3", "-L", "3.141592653589793"], 1),
+])
+def test_output_golden(golden, argv, code, tmp_path, capsys):
+    # the default JSON reports on stdout and the simulate files, byte for byte
+    for name in ("gap_pi", "headline"):
+        (tmp_path / f"{name}.json").write_bytes(
+            (CONFIGS / f"{name}.json").read_bytes())
+    modes3 = json.loads((CONFIGS / "gap_pi.json").read_text())
+    modes3["simulation"]["record_modes"] = 3
+    write_cfg(tmp_path, modes3, "modes3.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "out" / golden
+    out.parent.mkdir()
+    if argv[0] == "simulate":
+        argv += ["--output", str(out)]
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    if argv[0] == "simulate":
+        assert stdout == f"wrote {out}\n"
+        stdout = out.read_text()
+    assert stdout == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("name, config, trials", [
     ("cone-invariance", "gap_pi.json", "3"),
     ("coincidence", "gap_pi.json", "3"),
@@ -223,11 +256,21 @@ def test_synthesize_default_grid_flag_changes_nothing(flag, capsys):
         assert capsys.readouterr().out == plain
 
 
-@pytest.mark.parametrize("p", ["4.4943e305", "5e305", "1e308"])
+@pytest.mark.parametrize("p", ["4.4943e305", "5e305", "1e308", "3e305",
+                               "4e305", "4.4e305"])
 def test_synthesize_huge_p(p, capsys):
-    assert main(["synthesize", "-N", "1", "-L", "100", "--p", p]) == 2
-    err = capsys.readouterr().err
-    assert f"p={float(p)!r} is too large" in err and "Warning" not in err
+    # below ~4.49e305 the constants are finite and the caps overflow to an
+    # infeasible search; above it the search for the constants overflows
+    code = main(["synthesize", "-N", "1", "-L", "100", "--p", p])
+    out, err = capsys.readouterr()
+    assert "Warning" not in err
+    if float(p) < 4.49e305:
+        assert code == 1 and err == ""
+        result = json.loads(out)
+        assert not result["feasible"]
+        assert result["certificate"]["binding_constraint"]
+    else:
+        assert code == 2 and f"p={float(p)!r} is too large" in err
 
 
 def test_synthesize_missing_N():
@@ -282,6 +325,44 @@ def test_simulate_outdir_env(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, simulate_dict())
     assert main(["simulate", cfg, "--horizon", "0.1"]) == 0
     assert (tmp_path / "trajectory.csv").exists()
+    capsys.readouterr()
+
+
+def run_simulate(tmp_path, cfg_dict, fmt):
+    """Run simulate on cfg_dict; returns the text of the written file."""
+    out = tmp_path / f"trajectory.{fmt}"
+    assert main(["simulate", write_cfg(tmp_path, cfg_dict), "--output",
+                 str(out), "--format", fmt]) == 0
+    return out.read_text()
+
+
+def test_simulate_high_norm_partition(tmp_path, capsys):
+    # low^2 + high^2 = full^2 at every sample
+    cfg_dict = simulate_dict()
+    cfg_dict["simulation"].update(horizon=0.1, record_modes=4)
+    payload = json.loads(run_simulate(tmp_path, cfg_dict, "json"))
+    low = np.array(payload["low_modes"])
+    high, full = np.array(payload["high_norm"]), np.array(payload["full_norm"])
+    assert low.shape == (6, 4) and np.all(high > 0.0)
+    assert np.allclose((low ** 2).sum(axis=1) + high ** 2, full ** 2,
+                       rtol=1e-10, atol=1e-13)
+    capsys.readouterr()
+
+
+def test_simulate_csv_header_and_repr(tmp_path, capsys):
+    # the CSV holds the JSON columns, each cell a repr that round-trips
+    cfg_dict = simulate_dict()
+    cfg_dict["simulation"].update(horizon=0.04, record_modes=2)
+    lines = run_simulate(tmp_path, cfg_dict, "csv").splitlines()
+    payload = json.loads(run_simulate(tmp_path, cfg_dict, "json"))
+    assert lines[0] == "t,a_1,a_2,high_norm,full_norm,min_value"
+    assert len(lines) == 1 + len(payload["times"]) == 4
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert cells == [repr(float(c)) for c in cells]
+        assert [float(c) for c in cells] == [
+            payload["times"][i], *payload["low_modes"][i], payload["high_norm"][i],
+            payload["full_norm"][i], payload["min_value"][i]]
     capsys.readouterr()
 
 
@@ -575,16 +656,24 @@ def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     (["experiment", "attraction"], "experiment.family", "random_signed_fourier"),
     (["experiment", "cone-invariance"], "experiment.family",
      "random_signed_fourier"),
+    (["check"], "operator.modes", 200),
+    (["check"], "kernel.plus_integral", 100),
+    (["check"], "kernel.xi_plus", [0.0, 1e-4, 0.0]),
 ])
 def test_cross_key_rejection(cmd, path, value, tmp_path, capsys, monkeypatch):
-    # values the schema accepts but a check across keys (K = 8) rejects
+    # values the schema accepts but a check across keys (K = 8) rejects; the
+    # checks of an operator or a kernel as a whole name its section
     monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
     cfg_dict = simulate_dict()
     section, key = path.split(".")
+    if key == "xi_plus":  # profiles in place of the integrals
+        cfg_dict["kernel"] = {"r": 0.1, "m": 50, "M_xi": 0.8,
+                              "xi_minus": [0.0] * 51}
     cfg_dict[section][key] = value
     assert main(cmd + [write_cfg(tmp_path, cfg_dict)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error at {path}:") and "Traceback" not in err
+    at = section if section in ("operator", "kernel") else path
+    assert err.startswith(f"config error at {at}:") and "Traceback" not in err
 
 
 # prints the scipy modules loaded by an import of sddlab and one command

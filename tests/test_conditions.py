@@ -2,13 +2,17 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sddlab as s
+from sddlab.cli import main
 from sddlab.conditions import FLAGS, evaluate_certificate, search_grid
 from sddlab.errors import ContractViolation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # frozen reference values (high-precision evaluation of the closed forms,
 # headline configuration: p=1, L=100, N=1, r=0.5, M_xi=8e-4, 6e-5 / 1.8e-4)
@@ -182,16 +186,19 @@ def test_condition_report_N_contracts(headline_problem):
     s.condition_report(headline_problem, headline_problem.operator.modes - 1)
 
 
-def test_report_verdict_invariants(headline_problem):
+def test_report_verdict_invariants(headline_problem, capsys):
     rep = s.condition_report(headline_problem, 1)
     d = rep.to_dict()
     assert set(d["flags"]) == {
         "A4_pass", "A5_pass_p", "bound3_pass_full", "bound3_pass_p",
         "bound3_pass_n", "remark17_pass", "remark18_pass", "remark19_pass"}
     json.dumps(d)
-    rows = dict(rep.csv_rows())
+    # the CSV report of the same operating point, through the CLI
+    assert main(["check", str(CONFIGS / "headline.json"), "--format", "csv"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
     assert rows["verdict"] == "PIM_only"
     assert float(rows["M1_p"]) == rep.values["M1_p"]
+    assert [rows[flag] for flag in rep.flags] == [str(v) for v in rep.flags.values()]
     # the verdict follows from the flags and cannot be passed in
     for verdict in ("IM_exists", "neither_certified", "certified"):
         with pytest.raises(TypeError):

@@ -122,9 +122,6 @@ def test_snapshot_accessors(op_headline):
     rng = np.random.default_rng(14)
     v = random_history(op_headline, 0.5, 4, rng)
     assert np.array_equal(v.current().values, v.values[4])
-    theta = v.theta_nodes()
-    assert theta[0] == -0.5 and theta[-1] == 0.0
-    assert len(theta) == 5
 
 
 def test_constant_history_from_field(op_headline):

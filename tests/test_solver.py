@@ -40,10 +40,11 @@ def test_steps_for_horizon(headline_kernel):
 
 def test_zero_fixed_point_exact(headline_problem, op_headline):
     phi = s.constant_history(op_headline, 0.5, 50, 0.0)
-    [rec] = s.evolve(headline_problem, [phi], 100, stride=10)
+    [rec] = s.evolve(headline_problem, [phi], 100, stride=10, record_fields=True)
     assert rec.min_overall == 0.0 and rec.max_overall == 0.0
-    assert np.all(rec.full_norm == 0.0)
-    assert np.all(rec.low_modes == 0.0)
+    assert np.allclose(rec.times, np.arange(11) * 0.1, rtol=1e-12)
+    assert rec.fields.shape == (11, op_headline.grid_points)
+    assert np.all(rec.fields == 0.0)
 
 
 def test_pure_linear_decay_matches_closed_form(op_headline, nl):
@@ -84,8 +85,7 @@ def gated_histories(problem, count, seed):
 
 def assert_records_equal(a, b):
     # bit for bit, signed zeros included
-    for key in ("times", "low_modes", "high_norm", "full_norm", "min_value",
-                "fields"):
+    for key in ("times", "fields"):
         x, y = getattr(a, key), getattr(b, key)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), key
     assert repr((a.min_overall, a.max_overall)) == repr((b.min_overall, b.max_overall))
@@ -174,24 +174,15 @@ def test_evolve_sampling_layout(headline_problem, op_headline):
     [rec] = s.evolve(prob, [phi], 25, stride=10)
     # samples at steps 0, 10, 20, and the final step 25
     assert np.allclose(rec.times, [0.0, 0.1, 0.2, 0.25], rtol=1e-12)
-    assert rec.low_modes.shape == (4, op_headline.modes)
-    recs = s.evolve(prob, [phi, phi], 25, stride=10, record_modes=3)
-    assert [r.low_modes.shape for r in recs] == [(4, 3), (4, 3)]
+    assert rec.fields is None and rec.stride == 10
+    recs = s.evolve(prob, [phi, phi], 25, stride=10, record_fields=True)
+    assert [r.fields.shape for r in recs] == [(4, op_headline.grid_points)] * 2
+    assert np.array_equal(recs[0].fields[0], phi.values[-1])
     for bad in ({"steps": -1}, {"steps": True}, {"stride": 0},
-                {"record_modes": op_headline.modes + 1}):
+                {"stride": 2.0}):
         kwargs = {"phis": [phi], "steps": 25, **bad}
         with pytest.raises(ContractViolation):
             s.evolve(prob, **kwargs)
-
-
-def test_high_norm_partition(pi_problem, op_pi):
-    rng = np.random.default_rng(42)
-    rows = np.abs(rng.normal(size=(51, op_pi.grid_points)))
-    phi = s.HistorySegment(op_pi, 0.1, 50, rows)
-    [rec] = s.evolve(pi_problem, [phi], 50, stride=10, record_modes=4)
-    low2 = (rec.low_modes ** 2).sum(axis=1)
-    assert np.allclose(low2 + rec.high_norm ** 2, rec.full_norm ** 2,
-                       rtol=1e-10, atol=1e-13)
 
 
 def self_convergence_finals(op_pi, nl):
@@ -232,8 +223,10 @@ def test_dissipativity_zero_kernel_decays(op_pi, nl):
     ks = zero_kernel(0.1, 20)
     prob = s.ProblemSpec(operator=op_pi, kernel=ks, nonlinearity=nl)
     phi = s.constant_history(op_pi, 0.1, 20, 1.0)
-    [rec] = s.evolve(prob, [phi], s.steps_for_horizon(ks, 10.0), stride=1)
-    peak = rec.full_norm[rec.times >= 5.0 - 1e-12].max()  # over [T/2, T]
+    [rec] = s.evolve(prob, [phi], s.steps_for_horizon(ks, 10.0), stride=1,
+                     record_fields=True)
+    full_norm = s.field_l2_norm(op_pi, s.GridField(rec.fields))
+    peak = full_norm[rec.times >= 5.0 - 1e-12].max()  # over [T/2, T]
     lam1 = full_discrete_eigenvalues(op_pi)[0]
     start = s.field_l2_norm(op_pi, phi.current())
     assert peak <= start * float(np.exp(-lam1 * 5.0)) * (1 + 1e-9)
@@ -244,12 +237,14 @@ def test_dissipativity_absorbing_bound_headline(headline_problem, op_headline, n
     ks = headline_problem.kernel
     prob = s.ProblemSpec(operator=op_headline, kernel=ks, nonlinearity=nl)
     phi = s.constant_history(op_headline, 0.5, 50, 1.0)
-    [rec] = s.evolve(prob, [phi], s.steps_for_horizon(ks, 25.0), stride=1)
+    [rec] = s.evolve(prob, [phi], s.steps_for_horizon(ks, 25.0), stride=1,
+                     record_fields=True)
+    full_norm = s.field_l2_norm(op_headline, s.GridField(rec.fields))
     lam1 = full_discrete_eigenvalues(op_headline)[0]
     c_f = nl.M_b * ks.M_xi * ks.r * np.sqrt(op_headline.domain_length)
     decay = np.exp(-lam1 * rec.times)
-    envelope = decay * rec.full_norm[0] + c_f * (1.0 - decay) / lam1
-    assert np.all(rec.full_norm <= envelope * (1 + 1e-9))
+    envelope = decay * full_norm[0] + c_f * (1.0 - decay) / lam1
+    assert np.all(full_norm <= envelope * (1 + 1e-9))
 
 
 def test_dissipativity_pi_domain_reaches_radius(pi_problem, op_pi, nl):
@@ -257,8 +252,10 @@ def test_dissipativity_pi_domain_reaches_radius(pi_problem, op_pi, nl):
     ks = pi_problem.kernel
     prob = s.ProblemSpec(operator=op_pi, kernel=ks, nonlinearity=nl)
     phi = s.constant_history(op_pi, 0.1, 50, 1.0)
-    [rec] = s.evolve(prob, [phi], s.steps_for_horizon(ks, 25.0), stride=1)
-    peak = rec.full_norm[rec.times >= 12.5 - 1e-12].max()  # over [T/2, T]
+    [rec] = s.evolve(prob, [phi], s.steps_for_horizon(ks, 25.0), stride=1,
+                     record_fields=True)
+    full_norm = s.field_l2_norm(op_pi, s.GridField(rec.fields))
+    peak = full_norm[rec.times >= 12.5 - 1e-12].max()  # over [T/2, T]
     lam1 = full_discrete_eigenvalues(op_pi)[0]
     radius = nl.M_b * ks.M_xi * ks.r * np.sqrt(op_pi.domain_length) / lam1
     transient = float(np.exp(-lam1 * 12.5)) * s.field_l2_norm(op_pi, phi.current())
@@ -285,15 +282,3 @@ def test_engine_grid_mismatch(headline_problem, op_headline):
     with pytest.raises(GridMismatch):
         s.evolve(headline_problem,
                  [s.constant_history(op_headline, 0.5, 40, 1.0)], 1)
-
-
-def test_trajectory_csv_text(pi_problem, op_pi):
-    phi = s.constant_history(op_pi, 0.1, 50, 0.3)
-    [rec] = s.evolve(pi_problem, [phi], 20, stride=10, record_modes=2)
-    text = rec.to_csv_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,a_1,a_2,high_norm,full_norm,min_value"
-    assert len(lines) == 1 + rec.times.size
-    row = [float(c) for c in lines[1].split(",")]
-    assert row[0] == 0.0
-    assert row[1] == float(rec.low_modes[0, 0])  # repr floats roundtrip exactly

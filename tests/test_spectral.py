@@ -11,7 +11,6 @@ from sddlab.spectral import full_discrete_eigenvalues
 # frozen reference values (high-precision evaluation of the closed forms)
 LAMBDA_1_L100 = 9.8696044010893586e-4
 LAMBDA_2_L100 = 3.9478417604357434e-3
-EXP_P1 = 1.1051709180756476  # e^{0.1}
 
 
 def test_analytic_eigenvalues_unit_gap_domain():
@@ -149,43 +148,3 @@ def test_field_and_modes_readonly():
     with pytest.raises(ValueError):
         mv.coeffs[0] = 2.0
 
-
-def test_hat_project_backward_amplification():
-    # lambda_1 = 1 on (0, pi): the oldest snapshot carries e^{+r} = e^{0.1}
-    op = s.OperatorSpec(float(np.pi), 4, 32)
-    c0 = 0.7
-    field = s.GridField(c0 * s.eigenfunction(op, 1).values)
-    phi = s.constant_history(op, 0.1, 10, field)
-    hat = s.hat_project(op, phi, 1)
-    a_old = s.forward(op, s.GridField(hat.values[0])).coeffs
-    assert a_old[0] / c0 == pytest.approx(EXP_P1, rel=1e-13)
-    assert np.max(np.abs(a_old[1:])) <= 1e-13
-    # the current snapshot is the low-mode projection of the original
-    a_now = s.forward(op, hat.current()).coeffs
-    assert a_now[0] == pytest.approx(c0, rel=1e-12)
-
-
-def test_hat_project_idempotent(op_headline):
-    rng = np.random.default_rng(3)
-    rows = np.abs(rng.normal(size=(21, op_headline.grid_points)))
-    phi = s.HistorySegment(op_headline, 0.5, 20, rows)
-    once = s.hat_project(op_headline, phi, 2)
-    twice = s.hat_project(op_headline, once, 2)
-    assert np.max(np.abs(twice.values - once.values)) <= 1e-10
-
-
-def test_hat_project_zero_history(op_headline):
-    phi = s.constant_history(op_headline, 0.5, 10, 0.0)
-    hat = s.hat_project(op_headline, phi, 3)
-    assert np.all(hat.values == 0.0)
-
-
-def test_hat_project_contracts(op_headline):
-    phi = s.constant_history(op_headline, 0.5, 10, 1.0)
-    other = s.OperatorSpec(100.0, 8, 64)
-    with pytest.raises(GridMismatch):
-        s.hat_project(other, phi, 1)
-    with pytest.raises(ContractViolation):
-        s.hat_project(op_headline, phi, 0)
-    with pytest.raises(ContractViolation):
-        s.hat_project(op_headline, phi, op_headline.modes + 1)
