@@ -29,8 +29,11 @@ from .spectral import GridField, OperatorSpec, field_l2_norm, forward
 
 _REQUIRED = object()
 
-# the most trial-steps one command may run: about 3 h at 10 us per trial-step
+# the most trial-steps one command may run: about 3 h at 10 us per trial-step.
+# A step costs about as much for 1 row as for 8 (call overhead, not
+# arithmetic), so a run of fewer rows is billed as MIN_BILLED_ROWS rows.
 MAX_TRIAL_STEPS = 10**9
+MIN_BILLED_ROWS = 8
 
 # section -> key -> (JSON type, default or _REQUIRED, bound).  A default of
 # None makes the key nullable.  Bounds are (op, limit) for numbers and
@@ -214,14 +217,16 @@ def _at(key_path: str, fn, *args, **kwargs):
 def _run_steps(section: str, kernel: KernelSpec, horizon: float,
                rows: int = 1) -> int:
     """Steps for ``horizon``, rejected when rows x steps exceeds
-    MAX_TRIAL_STEPS, where ``rows`` counts the histories ``evolve`` steps:
-    at the horizon if one row is too long, else at the trials."""
+    MAX_TRIAL_STEPS, where ``rows`` counts the histories ``evolve`` steps and
+    is billed as at least MIN_BILLED_ROWS: at the horizon if a run of one row
+    is too long, else at the trials."""
     steps = _at(f"{section}.horizon", steps_for_horizon, kernel, horizon)
-    if rows * max(steps, 1) > MAX_TRIAL_STEPS:
-        key = "horizon" if steps > MAX_TRIAL_STEPS else "trials"
+    if max(rows, MIN_BILLED_ROWS) * max(steps, 1) > MAX_TRIAL_STEPS:
+        key = "horizon" if MIN_BILLED_ROWS * steps > MAX_TRIAL_STEPS else "trials"
         raise ConfigError(f"{section}.{key}",
                           f"{rows} rows x {steps} steps exceed "
-                          f"MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS}")
+                          f"MAX_TRIAL_STEPS = {MAX_TRIAL_STEPS} (a run is "
+                          f"billed as at least {MIN_BILLED_ROWS} rows)")
     return steps
 
 

@@ -68,7 +68,20 @@ class _Engine:
     the forcing needs.  A new snapshot goes to slots ``head`` and ``head + m + 1``,
     so slots ``head:head + m + 1`` always hold the window, oldest first."""
 
-    def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment]):
+    def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment],
+                 variants: Optional[Sequence[KernelVariant]] = None):
+        if variants is None:
+            variants = [problem.variant] * len(phis)
+        if len(variants) != len(phis):
+            raise ContractViolation("variants must name one variant per history")
+        # rows by variant; a contiguous group is a slice, which indexes
+        # without a copy
+        groups = {}
+        for i, variant in enumerate(variants):
+            groups.setdefault(_as_variant(variant), []).append(i)
+        self.groups = [(variant, slice(rows[0], rows[-1] + 1)
+                        if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows))
+                       for variant, rows in groups.items()]
         for i, phi in enumerate(phis):
             if phi.operator != problem.operator:
                 raise GridMismatch("initial history uses a different operator grid")
@@ -95,11 +108,14 @@ class _Engine:
 
     def forcing(self) -> np.ndarray:
         """(B, n_x) delay forcing of the current windows.  Each row is a
-        (1, m+1) @ (m+1, n_x) matmul, the product ``delay_term`` takes."""
+        (1, m+1) @ (m+1, n_x) matmul, the product ``delay_term`` takes, with
+        the xi of its own variant: one ``combine_profiles`` call per group."""
         win = slice(self.head, self.head + self.problem.m + 1)
-        xi = combine_profiles(self.problem.kernel,
-                              *gates(self.tw, self.masses[..., win])[..., None],
-                              self.problem.variant)
+        s_plus, s_minus = gates(self.tw, self.masses[..., win])[..., None]
+        xi = np.empty((len(self.u), self.problem.m + 1))
+        for variant, rows in self.groups:
+            xi[rows] = combine_profiles(self.problem.kernel, s_plus[rows],
+                                        s_minus[rows], variant)
         return np.matmul((self.tw * xi)[:, None, :], self.b_rows[:, win])[:, 0]
 
     def advance(self) -> np.ndarray:
@@ -133,9 +149,13 @@ class TrajectoryRecord:
 
 
 def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
-           stride: int = 10, record_fields: bool = False) -> list[TrajectoryRecord]:
+           stride: int = 10, record_fields: bool = False,
+           variants: Optional[Sequence[KernelVariant]] = None
+           ) -> list[TrajectoryRecord]:
     """Run ``steps`` steps from every history in ``phis`` in lockstep,
     sampling every ``stride`` steps; returns one record per history.
+    ``variants`` gives each history its kernel variant (default: every
+    history steps under ``problem.variant``).
 
     Deterministic and batch invariant: each record is bitwise the record of a
     batch of one.  A row whose state goes non-finite is left behind while the
@@ -148,14 +168,17 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
         raise ContractViolation("stride must be an int >= 1")
 
-    eng = _Engine(problem, phis)
+    eng = _Engine(problem, phis, variants)
     h = problem.h
-    times, fields = [], []
+    times = []
+    # each row's (n_samples, n_x) states, written in place as they are sampled
+    fields = (np.empty((len(phis), steps // stride + 1 + (steps % stride > 0),
+                        eng.u.shape[1])) if record_fields else [None] * len(phis))
 
     def sample(k: int, u: np.ndarray):
-        times.append(k * h)
         if record_fields:
-            fields.append(u)
+            fields[:, len(times)] = u
+        times.append(k * h)
 
     u = eng.u
     min_overall, max_overall = u.min(axis=1), u.max(axis=1)
@@ -166,12 +189,15 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
         sample(0, u)
         for k in range(1, steps + 1):
             u = eng.advance()
-            if not np.isfinite(u).all():
-                failed_at[(failed_at == 0) & ~np.isfinite(u).all(axis=1)] = k
+            u_min, u_max = u.min(axis=1), u.max(axis=1)
+            # a row is finite iff its extrema are: NaN propagates through
+            # both, +inf reaches the max and -inf the min
+            finite = np.isfinite(u_min) & np.isfinite(u_max)
+            if not finite.all():
+                failed_at[(failed_at == 0) & ~finite] = k
                 if failed_at[0]:  # no lower row is left to fail first
                     break
             # Python's min()/max() semantics, signed zeros included
-            u_min, u_max = u.min(axis=1), u.max(axis=1)
             min_overall = np.where(u_min < min_overall, u_min, min_overall)
             max_overall = np.where(u_max > max_overall, u_max, max_overall)
             if k % stride == 0 or k == steps:
@@ -180,8 +206,6 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
         if k:
             raise IntegrationFailure(k, k * h, row)
 
-    # per sample (B, n_x) states -> per row (n_samples, n_x) fields
-    fields = np.stack(fields, axis=1) if record_fields else [None] * len(phis)
     return [TrajectoryRecord(
         times=np.asarray(times), min_overall=float(min_overall[i]),
         max_overall=float(max_overall[i]), stride=stride, fields=fields[i])

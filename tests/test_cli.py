@@ -631,6 +631,8 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
     (["experiment", "lipschitz", "--horizon", "0.001"], "experiment.horizon"),
     # runs above MAX_TRIAL_STEPS, which must not start stepping
     (["simulate", "--horizon", "1e30"], "simulation.horizon"),
+    # 2e8 steps of one row, billed as 8 rows
+    (["simulate", "--horizon", "400000"], "simulation.horizon"),
     (["experiment", "cone-invariance", "--trials", "1000000000"],
      "experiment.trials"),
     # trials x steps = 3999999 x 250 fits the cap; the rows evolve steps do
@@ -642,6 +644,8 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
 ])
 def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
+    for module in (sddlab.cli, sddlab.experiments):  # a rejected run never steps
+        monkeypatch.setattr(module, "evolve", None)
     cfg = write_cfg(tmp_path, simulate_dict())
     cmd, flags = argv[:-2], argv[-2:]
     assert main(cmd + [cfg] + flags) == 2

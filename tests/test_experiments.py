@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,8 @@ def test_coincidence_witness_optional(pi_problem, small_cfg):
 
 
 def test_coincidence_draws_lazily(pi_problem, monkeypatch):
-    # both variants read one stream, so a batch is drawn just before it steps
+    # both variants of a datum step in one evolve call, so a batch is drawn
+    # just before that call and no datum is drawn twice
     draws, at_first_evolve = [], []
     draw, evolve = s.experiments.make_initial_history, s.experiments.evolve
 
@@ -162,6 +164,72 @@ def test_coincidence_batches_bitwise(pi_problem, monkeypatch):
     assert len(batched.trials) == 71 and batched.trials[-1]["trial"] == -1
     assert batched.summary["witness_distance"] > 0.0
     assert repr(batched.to_dict()) == repr(single.to_dict())
+
+
+def test_coincidence_one_evolve_call_per_batch(pi_problem, monkeypatch):
+    # one call per batch of BATCH_ROWS data; each call steps the full rows
+    # first, and combine_profiles sees only the one-sided variant's rows
+    V = s.KernelVariant
+    combine, evolve = s.solver.combine_profiles, s.experiments.evolve
+    rows_per_variant, calls = {}, []
+
+    def counting_combine(spec, s_plus, s_minus, variant):
+        rows_per_variant.setdefault(variant, []).append(len(s_plus))
+        return combine(spec, s_plus, s_minus, variant)
+
+    def noting_evolve(problem, phis, steps, **kwargs):
+        calls.append(kwargs["variants"])
+        return evolve(problem, phis, steps, **kwargs)
+
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
+    monkeypatch.setattr(s.solver, "combine_profiles", counting_combine)
+    monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
+    cfg = s.ExperimentConfig(trials=6, seed=5, horizon=0.02, amplitude=0.5)
+    steps = s.steps_for_horizon(pi_problem.kernel, cfg.horizon)
+    for cone, one_sided, data in (("positive", V.P, 7), ("negative", V.N, 6)):
+        rows_per_variant.clear()
+        calls.clear()
+        assert s.run_coincidence(pi_problem, cfg, cone=cone).passed
+        batches = [4, data - 4]
+        assert calls == [[V.FULL] * n + [one_sided] * n for n in batches]
+        per_step = [n for n in batches for _ in range(steps)]
+        assert rows_per_variant == {V.FULL: per_step, one_sided: per_step}
+
+
+@pytest.mark.parametrize("horizon, failed_row", [(1.0, 0), (0.01, 1)])
+def test_coincidence_failure_step_of_two_runs(pi_problem, monkeypatch,
+                                              horizon, failed_row):
+    # b is NaN below 0.5, so constant data fail once a boundary cell decays
+    # (at step 8, past the 5 steps of T=0.01) and the witness (a node at -amplitude), which
+    # is the second datum of the second batch, fails at step 1; the fused
+    # run raises the failure that stepping each batch's full rows, then its
+    # one-sided rows, raised first
+    monkeypatch.setattr("sddlab.solver.b_eval",
+                        lambda nl, w: np.where(w < 0.5, np.nan, 0.0))
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 2)
+    cfg = s.ExperimentConfig(trials=3, seed=5, horizon=horizon,
+                             family="constant", amplitude=4.0)
+    steps = s.steps_for_horizon(pi_problem.kernel, cfg.horizon)
+
+    def two_runs():
+        phis = [s.make_initial_history(pi_problem.operator, pi_problem.r,
+                                       pi_problem.m, "constant", 4.0, None)
+                for _ in range(cfg.trials)]
+        phis.append(s.experiments._negate_node(phis[0], 4.0))
+        for start in range(0, len(phis), 2):
+            for variant in (s.KernelVariant.FULL, s.KernelVariant.P):
+                s.evolve(replace(pi_problem, variant=variant),
+                         phis[start:start + 2], steps, stride=cfg.stride,
+                         record_fields=True)
+
+    with pytest.raises(s.IntegrationFailure) as old:
+        two_runs()
+    with pytest.raises(s.IntegrationFailure) as fused:
+        s.run_coincidence(pi_problem, cfg)
+    assert old.value.row == failed_row
+    assert (old.value.step_index == 1) == (failed_row == 1)
+    assert ((fused.value.step_index, fused.value.t, fused.value.row)
+            == (old.value.step_index, old.value.t, old.value.row))
 
 
 def reference_lipschitz_row(problem, cfg, i):

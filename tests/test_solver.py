@@ -1,6 +1,8 @@
 """Time stepping: fixed points, exact linear flow, determinism, convergence,
 dissipativity, and failure signaling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,70 @@ def test_integration_failure_reports_lowest_failed_row(pi_problem, op_pi,
     assert exc.value.t == failures[0] * prob.h
 
 
+def test_integration_failure_from_row_extrema(pi_problem, op_pi, monkeypatch):
+    # +inf shows only in a row's max, -inf only in its min, NaN in both; each
+    # is injected into one row at its own step and then spreads to the row
+    advance = _Engine.advance
+
+    def failure(phis, plan):
+        """(step, t, row) of the IntegrationFailure when ``plan`` maps a row
+        to the (step, value) written into one of its cells."""
+        stepped = []
+
+        def injecting(self):
+            u = advance(self)
+            stepped.append(1)
+            for row, (k, value) in plan.items():
+                if len(stepped) == k:
+                    u[row, 5] = value
+            return u
+
+        monkeypatch.setattr(_Engine, "advance", injecting)
+        with pytest.raises(IntegrationFailure) as exc:
+            s.evolve(pi_problem, phis, 20)
+        return exc.value.step_index, exc.value.t, exc.value.row
+
+    h = pi_problem.h
+    phis = [s.constant_history(op_pi, 0.1, 50, c) for c in (1.0, 2.0, 3.0)]
+    for value in (np.inf, -np.inf, np.nan):
+        assert failure(phis[:1], {0: (3, value)}) == (3, 3 * h, 0)
+    plan = {0: (9, np.inf), 1: (6, -np.inf), 2: (2, np.nan)}
+    # the lowest failed row is raised, even when a higher one failed earlier
+    assert failure(phis, plan) == (9, 9 * h, 0)
+    assert failure(phis, {1: plan[1], 2: plan[2]}) == (6, 6 * h, 1)
+    assert failure(phis, {2: plan[2]}) == (2, 2 * h, 2)
+
+
+def signed_histories(problem, count, seed):
+    """random_signed_fourier segments at amplitude 0.01: both gates open."""
+    return [s.make_initial_history(problem.operator, problem.r, problem.m,
+                                   "random_signed_fourier", 0.01,
+                                   np.random.default_rng(seed + i))
+            for i in range(count)]
+
+
+def test_mixed_variants_bitwise(pi_problem):
+    # each row of one mixed-variant call is the row of a single-variant call
+    V = s.KernelVariant
+    phis = signed_histories(pi_problem, 6, 60)
+    kwargs = {"steps": 40, "stride": 7, "record_fields": True}
+    single = {variant: s.evolve(replace(pi_problem, variant=variant), phis,
+                                **kwargs) for variant in V}
+    for i in range(len(phis)):  # on signed data the three variants differ
+        finals = [single[variant][i].fields[-1].tobytes() for variant in V]
+        assert len(set(finals)) == 3
+    contiguous = [V.FULL] * 3 + [V.P] * 3
+    interleaved = [V.FULL, V.P, V.N, V.P, V.FULL, V.N]
+    for variants in (contiguous, interleaved, ["n", "p", "full"] * 2):
+        recs = s.evolve(pi_problem, phis, variants=variants, **kwargs)
+        for i, (rec, variant) in enumerate(zip(recs, variants)):
+            assert_records_equal(rec, single[s.KernelVariant(variant)][i])
+    with pytest.raises(ContractViolation, match="one variant per history"):
+        s.evolve(pi_problem, phis, 1, variants=[V.P])
+    with pytest.raises(ContractViolation, match="unknown kernel variant"):
+        s.evolve(pi_problem, phis, 1, variants=["both"] * 6)
+
+
 def test_evolve_rejects_non_finite_history(pi_problem, op_pi):
     phis = [s.constant_history(op_pi, 0.1, 50, c) for c in (1.0, 2.0, 3.0)]
     phis[2] = s.constant_history(op_pi, 0.1, 50, np.nan)
@@ -178,6 +244,8 @@ def test_evolve_sampling_layout(headline_problem, op_headline):
     recs = s.evolve(prob, [phi, phi], 25, stride=10, record_fields=True)
     assert [r.fields.shape for r in recs] == [(4, op_headline.grid_points)] * 2
     assert np.array_equal(recs[0].fields[0], phi.values[-1])
+    [rec] = s.evolve(prob, [phi], 0, stride=10, record_fields=True)
+    assert rec.times.tolist() == [0.0] and np.array_equal(rec.fields, phi.values[-1:])
     for bad in ({"steps": -1}, {"steps": True}, {"stride": 0},
                 {"stride": 2.0}):
         kwargs = {"phis": [phi], "steps": 25, **bad}
