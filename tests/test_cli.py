@@ -631,8 +631,6 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
     (["experiment", "lipschitz", "--horizon", "0.001"], "experiment.horizon"),
     # runs above MAX_TRIAL_STEPS, which must not start stepping
     (["simulate", "--horizon", "1e30"], "simulation.horizon"),
-    # 2e8 steps of one row, billed as 8 rows
-    (["simulate", "--horizon", "400000"], "simulation.horizon"),
     (["experiment", "cone-invariance", "--trials", "1000000000"],
      "experiment.trials"),
     # trials x steps = 3999999 x 250 fits the cap; the rows evolve steps do
@@ -641,6 +639,8 @@ def test_config_rejection_table(path, tmp_path, capsys, monkeypatch):
      "experiment.trials"),
     (["experiment", "coincidence", "--trials", "3999999"], "experiment.trials"),
     (["experiment", "attraction", "--trials", "3999999"], "experiment.trials"),
+    # 2e8 steps of one row, billed as 8 rows
+    (["simulate", "--horizon", "400000"], "simulation.horizon"),
 ])
 def test_flag_rejection(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SDDLAB_OUTDIR", str(tmp_path))
