@@ -22,7 +22,8 @@ import numpy as np
 
 from .conditions import condition_report, lipschitz_M1
 from .errors import ContractViolation
-from .history import (HistorySegment, norm_C, norm_L1L1, theta_weights)
+from .history import (HistorySegment, _snapshot_l1, _snapshot_l2, _theta_dot,
+                      theta_weights)
 from .kernel import (KernelVariant, combine_profiles, gates, l11_constant,
                      sign_masses)
 from .nonlinear import b_eval
@@ -35,6 +36,11 @@ FAMILIES = ("random_positive_fourier", "random_signed_fourier",
 POSITIVE_FAMILIES = ("random_positive_fourier", "gaussian_bumps", "constant")
 
 BATCH_ROWS = 64  # histories stepped together; bounds memory, results do not depend on it
+# Lipschitz pairs drawn and evaluated together; results do not depend on it.
+# Measured on headline: 3 or 4 pairs are a little faster than 2, but each
+# pair adds 3 segments (52 KB each) to the buffer and 2 to every temporary
+PAIR_CHUNK = 2
+PAIR_KINDS = ("independent", "scaled", "near")
 CONE_TOL = 1e-12
 B1_TOL = 1e-8
 KERNEL_TOL = 1e-10
@@ -95,48 +101,83 @@ class ExperimentResult:
         return out
 
 
-def _fourier_field(op: OperatorSpec, rng: np.random.Generator,
-                   amplitude: float, lowest: int = 1) -> np.ndarray:
-    """A sine series with N(0, amplitude/k) coefficients on modes lowest..K."""
-    k = np.arange(1, op.modes + 1, dtype=float)
-    coeffs = np.zeros(op.modes)
-    coeffs[lowest - 1:] = rng.normal(0.0, amplitude / k[lowest - 1:])
-    return inverse(op, ModeVector(coeffs)).values
+_FOURIER_FAMILIES = ("random_signed_fourier", "random_positive_fourier")
+
+
+def _fourier_coeffs(op: OperatorSpec, rng: np.random.Generator,
+                    amplitude: float, rows: int = 2,
+                    lowest: int = 1) -> np.ndarray:
+    """(rows, K) sine coefficients, N(0, amplitude/k) on modes lowest..K and
+    0 below.  One rng call draws the rows in turn, with the bits of one call
+    per row: each element is loc + scale * a standard normal, in C order."""
+    k = np.arange(lowest, op.modes + 1, dtype=float)
+    coeffs = np.zeros((rows, op.modes))
+    coeffs[:, lowest - 1:] = rng.normal(0.0, amplitude / k, size=(rows, k.size))
+    return coeffs
+
+
+def _draw_params(op: OperatorSpec, family: str, amplitude: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The random parameters of one history, in a fixed rng order: the (2, K)
+    sine coefficients of its two end fields, the (3, 3) height, center and
+    width of its bumps, or nothing for ``constant``."""
+    if family in _FOURIER_FAMILIES:
+        return _fourier_coeffs(op, rng, amplitude)
+    if family == "gaussian_bumps":
+        L = op.domain_length
+        return np.array([(rng.uniform(0.25, 1.0), rng.uniform(0.2, 0.8) * L,
+                          rng.uniform(0.05, 0.15) * L) for _ in range(3)])
+    return np.empty(0)
+
+
+def _histories(op: OperatorSpec, m: int, family: str, amplitude: float,
+               params: np.ndarray, sign: float = 1.0,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (P, m+1, n_x) histories of a stack of P draws' parameters, written
+    into ``out`` if given.  Every end field comes from one ``inverse`` call,
+    whose rows have the bits of per-row calls; the rest is elementwise (in
+    place, in the order of the expressions), so each history has the bits of
+    a stack of one."""
+    if out is None:
+        out = np.empty((len(params), m + 1, op.grid_points))
+    s = (np.arange(m + 1) / m)[:, None]
+    if family == "constant":
+        out[...] = amplitude
+    elif family in _FOURIER_FAMILIES:
+        ends = inverse(op, ModeVector(params.reshape(-1, op.modes))).values
+        ends = ends.reshape(len(params), 2, 1, op.grid_points)
+        if family == "random_positive_fourier":
+            # clip then offset: strict interior of the positive cone
+            ends = np.maximum(ends, 0.0)
+        # (1 - s) * f0 + s * f1, plus the offset of the positive family
+        np.multiply(1.0 - s, ends[:, 0], out=out)
+        out += s * ends[:, 1]
+        if family == "random_positive_fourier":
+            out += amplitude
+    else:  # gaussian_bumps
+        x = op.nodes()
+        field = np.zeros((len(params), op.grid_points))
+        for a, c, w in params.transpose(1, 2, 0)[..., None]:
+            field += a * np.exp(-((x - c) ** 2) / (2.0 * w * w))
+        np.multiply(0.7 + 0.3 * s, amplitude * field[:, None], out=out)
+    if sign != 1.0:
+        out *= sign
+    return out
 
 
 def make_initial_history(op: OperatorSpec, r: float, m: int, family: str,
                          amplitude: float, rng: np.random.Generator,
                          sign: float = 1.0) -> HistorySegment:
-    """Draw one history segment; draws are independent of m (m only samples
-    the underlying theta-smooth object), so refinements share initial data."""
+    """Draw one history segment: the parameters from ``rng``, then the
+    segment from the same field build that makes a stack of draws.  Draws
+    are independent of m (m only samples the underlying theta-smooth
+    object), so refinements share initial data."""
     if family not in FAMILIES:
         raise ContractViolation(f"family must be one of {FAMILIES}")
     if not amplitude >= 0.0:
         raise ContractViolation("amplitude must be >= 0")
-    s = (np.arange(m + 1) / m)[:, None]
-    if family == "constant":
-        rows = np.full((m + 1, op.grid_points), amplitude)
-    elif family == "random_signed_fourier":
-        f0 = _fourier_field(op, rng, amplitude)
-        f1 = _fourier_field(op, rng, amplitude)
-        rows = (1.0 - s) * f0 + s * f1
-    elif family == "random_positive_fourier":
-        # clip then offset: strict interior of the positive cone
-        g0 = np.maximum(_fourier_field(op, rng, amplitude), 0.0)
-        g1 = np.maximum(_fourier_field(op, rng, amplitude), 0.0)
-        rows = (1.0 - s) * g0 + s * g1 + amplitude
-    else:  # gaussian_bumps
-        x = op.nodes()
-        L = op.domain_length
-        field = np.zeros(op.grid_points)
-        for _ in range(3):
-            a = rng.uniform(0.25, 1.0)
-            c = rng.uniform(0.2, 0.8) * L
-            w = rng.uniform(0.05, 0.15) * L
-            field += a * np.exp(-((x - c) ** 2) / (2.0 * w * w))
-        rows = (0.7 + 0.3 * s) * (amplitude * field)
-    if sign != 1.0:
-        rows = rows * sign
+    params = _draw_params(op, family, amplitude, rng)
+    rows = _histories(op, m, family, amplitude, params[None], sign)[0]
     return HistorySegment(operator=op, r=r, m=m, values=rows)
 
 
@@ -258,6 +299,81 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
                             trials=rows, summary=summary)
 
 
+def _difference_norms(op: OperatorSpec, tw: np.ndarray, v1: np.ndarray,
+                      v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """norm_C and norm_L1L1 of v1 - v2 for each pair of the stacks."""
+    delta = v1 - v2
+    return (_snapshot_l2(delta, op.h_x).max(axis=-1),
+            _theta_dot(tw, _snapshot_l1(delta, op.h_x)))
+
+
+def _pair_ratios(problem: ProblemSpec,
+                 pairs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """norm_C(v1 - v2) and the columns of a checked pair (every variant's
+    ``kernel_ratio_*``, ``b1_ratio`` for ``problem.variant``, ``passed``) for
+    each of the P pairs (v1, v2) = pairs, a (2, P, m+1, n_x) stack.
+
+    ``sign_masses``, ``gates`` and ``b_eval`` run once on the 2P segments,
+    and per-row matmuls take the theta dots, window products and norms, so
+    each row has the bits of the single-segment API on its own pair.  A pair
+    with v1 == v2 has norm_C 0 and meaningless ratios; callers mask it.
+    """
+    op, ks = problem.operator, problem.kernel
+    tw = theta_weights(ks.r, ks.m)
+    P = pairs.shape[1]
+    both = pairs.reshape(2 * P, *pairs.shape[2:])
+    s_plus, s_minus = gates(tw, sign_masses(both, op.h_x))[..., None]
+    dC, d11 = _difference_norms(op, tw, *pairs)
+    cols = {}
+    with np.errstate(divide="ignore", invalid="ignore"):  # pairs with v1 == v2
+        for var in KernelVariant:
+            xi = combine_profiles(ks, s_plus, s_minus, var)
+            if var is problem.variant:
+                b1 = np.matmul((tw * xi)[:, None, :],
+                               b_eval(problem.nonlinearity, both))[:, 0]
+            num = _theta_dot(tw, np.abs(xi[:P] - xi[P:]))
+            cols[f"kernel_ratio_{var.value}"] = np.where(
+                num == 0.0, 0.0, num / (l11_constant(ks, var) * d11))
+        num = field_l2_norm(op, GridField(b1[:P] - b1[P:]))
+        cols["b1_ratio"] = np.where(
+            num == 0.0, 0.0, num / (lipschitz_M1(problem) * dC))
+    cols["passed"] = cols["b1_ratio"] <= 1.0 + B1_TOL
+    for var in KernelVariant:
+        cols["passed"] &= cols[f"kernel_ratio_{var.value}"] <= 1.0 + KERNEL_TOL
+    return dC, cols
+
+
+def _draw_pairs(problem: ProblemSpec, cfg: ExperimentConfig, trials: range,
+                work: np.ndarray) -> np.ndarray:
+    """The (2, P, m+1, n_x) stack (v1, v2) of the trials' pairs, rows P..3P
+    of ``work``.  Trial i's rng draws v1, then v2's data or, for a scaled
+    pair, its factor.  One ``_histories`` call builds the second draws into
+    the rows just below v1, and v1 in place."""
+    op = problem.operator
+    first, second = [], []
+    for i in trials:
+        rng = np.random.default_rng(cfg.seed + i)
+        first.append(_draw_params(op, cfg.family, cfg.amplitude, rng))
+        second.append(rng.uniform(0.0, 2.0) if PAIR_KINDS[i % 3] == "scaled"
+                      else _draw_params(op, cfg.family, cfg.amplitude, rng))
+    drawn = [p for p in second if isinstance(p, np.ndarray)]
+    P, n = len(first), len(drawn)
+    built = _histories(op, problem.m, cfg.family, cfg.amplitude,
+                       np.stack(drawn + first), out=work[P - n:2 * P])
+    extra = iter(built[:n])
+    pairs = work[P:3 * P].reshape(2, P, *work.shape[1:])
+    v1, v2 = pairs
+    for j, (i, p) in enumerate(zip(trials, second)):
+        kind = PAIR_KINDS[i % 3]
+        if kind == "independent":
+            v2[j] = next(extra)
+        elif kind == "scaled":
+            v2[j] = p * v1[j]
+        else:
+            v2[j] = v1[j] + 1e-4 * next(extra)
+    return pairs
+
+
 def run_lipschitz_sampling(problem: ProblemSpec,
                            cfg: ExperimentConfig) -> ExperimentResult:
     """Sample segment pairs and check the kernel and delay-term bounds.
@@ -267,59 +383,31 @@ def run_lipschitz_sampling(problem: ProblemSpec,
 
     per variant with its own constants.  Pair types cycle: independent draws,
     a scaled copy, and a nearby perturbation (covers clipped and unclipped
-    gate regimes).  Zero-difference pairs are skipped.  Each segment's sign
-    masses and gates are computed once; xi and B1 are then the expressions of
-    ``eval_xi`` and ``delay_term``, so every ratio has their bits.
+    gate regimes).  Zero-difference pairs are skipped.  Pairs are drawn
+    (``_draw_pairs``) and evaluated (``_pair_ratios``) PAIR_CHUNK at a time,
+    in one buffer that every chunk reuses; each row has the bits of its pair
+    evaluated alone with the single-segment API, so the rows do not depend
+    on PAIR_CHUNK.
     """
-    op = problem.operator
-    ks = problem.kernel
-    nl = problem.nonlinearity
-    tw = theta_weights(ks.r, ks.m)
-    m1 = {var: lipschitz_M1(problem, var) for var in KernelVariant}
-    l11 = {var: l11_constant(ks, var) for var in KernelVariant}
-
-    def evaluate(values: np.ndarray) -> tuple[dict, np.ndarray]:
-        """Every variant's xi on one segment, and the run variant's B1."""
-        s_plus, s_minus = gates(tw, sign_masses(values, op.h_x))
-        xi = {var: combine_profiles(ks, s_plus, s_minus, var)
-              for var in KernelVariant}
-        return xi, (tw * xi[problem.variant]) @ b_eval(nl, values)
-
-    def trial(i: int) -> dict:
-        rng = np.random.default_rng(cfg.seed + i)
-        v1 = _draw(problem, cfg, rng).values
-        kind = ("independent", "scaled", "near")[i % 3]
-        if kind == "independent":
-            v2 = _draw(problem, cfg, rng).values
-        elif kind == "scaled":
-            v2 = rng.uniform(0.0, 2.0) * v1
-        else:
-            v2 = v1 + 1e-4 * _draw(problem, cfg, rng).values
-        delta = HistorySegment(operator=op, r=problem.r, m=problem.m,
-                               values=v1 - v2)
-        dC = norm_C(delta)
-        if dC == 0.0:
-            return {"trial": i, "pair": kind, "status": "skipped",
-                    "b1_ratio": None, "kernel_ratio_full": None,
-                    "kernel_ratio_p": None, "kernel_ratio_n": None,
-                    "passed": True}
-        d11 = norm_L1L1(delta)
-        (xi1, b1), (xi2, b2) = evaluate(v1), evaluate(v2)
-        row = {"trial": i, "pair": kind, "status": "ok"}
-        ok = True
-        for var in KernelVariant:
-            num = float(np.dot(tw, np.abs(xi1[var] - xi2[var])))
-            ratio = 0.0 if num == 0.0 else num / (l11[var] * d11)
-            row[f"kernel_ratio_{var.value}"] = ratio
-            ok = ok and ratio <= 1.0 + KERNEL_TOL
-        num = field_l2_norm(op, GridField(b1 - b2))
-        ratio = 0.0 if num == 0.0 else num / (m1[problem.variant] * dC)
-        row["b1_ratio"] = ratio
-        ok = ok and ratio <= 1.0 + B1_TOL
-        row["passed"] = ok
-        return row
-
-    rows = [trial(i) for i in range(cfg.trials)]
+    chunk = min(PAIR_CHUNK, cfg.trials)
+    # one buffer for every chunk: with a fresh stack per chunk, the heap grew
+    # and shrank (and page-faulted) on every chunk
+    work = np.empty((3 * chunk, problem.m + 1, problem.operator.grid_points))
+    rows = []
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        dC, cols = _pair_ratios(problem, _draw_pairs(problem, cfg, trials, work))
+        cols = {key: col.tolist() for key, col in cols.items()}
+        for j, i in enumerate(trials):
+            row = {"trial": i, "pair": PAIR_KINDS[i % 3]}
+            if dC[j] == 0.0:
+                row.update(status="skipped", b1_ratio=None,
+                           kernel_ratio_full=None, kernel_ratio_p=None,
+                           kernel_ratio_n=None, passed=True)
+            else:
+                row.update(status="ok",
+                           **{key: col[j] for key, col in cols.items()})
+            rows.append(row)
     used = [row for row in rows if row["status"] == "ok"]
     kernel_ratios = [row[f"kernel_ratio_{var.value}"] for row in used
                      for var in KernelVariant]
@@ -330,9 +418,10 @@ def run_lipschitz_sampling(problem: ProblemSpec,
         kernel_tolerance=KERNEL_TOL,
         max_b1_ratio=max(b1_ratios) if b1_ratios else None,
         max_kernel_ratio=max(kernel_ratios) if kernel_ratios else None,
-        M1=m1[problem.variant], pairs_used=len(used),
+        M1=lipschitz_M1(problem), pairs_used=len(used),
         pairs_skipped=len(rows) - len(used),
-        **{f"l11_{var.value}": l11[var] for var in KernelVariant})
+        **{f"l11_{var.value}": l11_constant(problem.kernel, var)
+           for var in KernelVariant})
     return ExperimentResult(name="lipschitz_sampling", passed=passed,
                             trials=rows, summary=summary)
 
@@ -352,7 +441,8 @@ def _fit_log_linear(t: np.ndarray, q: np.ndarray) -> tuple[float, float]:
 def _high_mode_perturbation(op: OperatorSpec, N: int, amplitude: float,
                             rng: np.random.Generator) -> np.ndarray:
     """A field supported on modes N+1..K, sup-normalized to 0.4 * amplitude."""
-    field = _fourier_field(op, rng, amplitude, lowest=N + 1)
+    coeffs = _fourier_coeffs(op, rng, amplitude, rows=1, lowest=N + 1)
+    field = inverse(op, ModeVector(coeffs)).values[0]
     peak = np.abs(field).max()
     if peak == 0.0:
         return field

@@ -76,12 +76,19 @@ def constant_history(operator: OperatorSpec, r: float, m: int,
 
 
 def _snapshot_l1(values: np.ndarray, h_x: float) -> np.ndarray:
-    """Midpoint x-integral of |row| for each snapshot row."""
-    return h_x * np.abs(values).sum(axis=1)
+    """Midpoint x-integral of |row| for each snapshot row (of a stack)."""
+    return h_x * np.abs(values).sum(axis=-1)
 
 
 def _snapshot_l2(values: np.ndarray, h_x: float) -> np.ndarray:
-    return np.sqrt(h_x * (values * values).sum(axis=1))
+    return np.sqrt(h_x * (values * values).sum(axis=-1))
+
+
+def _theta_dot(tw: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.dot(tw, row) along the last axis of a stack, as (1, m+1) @ (m+1,)
+    matmuls, which have the bits of np.dot: a stack of windows gets the bits
+    of one window."""
+    return np.matmul(rows[..., None, :], tw)[..., 0]
 
 
 def norm_L1L1(v: HistorySegment) -> float:

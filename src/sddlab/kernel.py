@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapViolation, ContractViolation, GridMismatch
-from .history import HistorySegment, theta_weights
+from .history import HistorySegment, _theta_dot, theta_weights
 
 
 class KernelVariant(str, Enum):
@@ -128,9 +128,8 @@ def sign_masses(values: np.ndarray, h_x: float) -> np.ndarray:
 def gates(tw: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Clipped gates (s_plus, s_minus) = min(||v_pm||_L1L1, 1) from the
     trapezoid weights and the (2, ..., m+1) sign masses; the gates have shape
-    (2, ...).  Each is a (1, m+1) @ (m+1,) matmul, which has the bits of
-    np.dot(tw, w), so a stack of windows gets the bits of one window."""
-    return clip_gate(np.matmul(masses[..., None, :], tw)[..., 0])
+    (2, ...), each with the bits of one window's gate."""
+    return clip_gate(_theta_dot(tw, masses))
 
 
 def combine_profiles(spec: KernelSpec, s_plus, s_minus,

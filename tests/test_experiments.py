@@ -274,12 +274,13 @@ def reference_lipschitz_row(problem, cfg, i):
 ])
 def test_lipschitz_matches_single_segment_api(headline_problem, family,
                                               amplitude, monkeypatch):
-    calls = []
+    # each segment's sign masses once: count the segments passed in
+    segments = []
     masses = s.experiments.sign_masses
 
-    def counting_masses(*args, **kwargs):
-        calls.append(1)
-        return masses(*args, **kwargs)
+    def counting_masses(values, h_x):
+        segments.append(len(values) if values.ndim == 3 else 1)
+        return masses(values, h_x)
 
     monkeypatch.setattr(s.experiments, "sign_masses", counting_masses)
     cfg = s.ExperimentConfig(trials=30, seed=4, horizon=1.0, family=family,
@@ -287,7 +288,7 @@ def test_lipschitz_matches_single_segment_api(headline_problem, family,
     res = s.run_lipschitz_sampling(headline_problem, cfg)
     assert res.summary["pairs_used"] == 30
     assert {row["pair"] for row in res.trials} == {"independent", "scaled", "near"}
-    assert len(calls) == 2 * res.summary["pairs_used"]
+    assert sum(segments) == 2 * res.summary["pairs_used"]
     for row in res.trials:
         ref = reference_lipschitz_row(headline_problem, cfg, row["trial"])
         for key, value in ref.items():
@@ -320,6 +321,97 @@ def test_lipschitz_skips_identical_pairs(headline_problem):
     assert res.summary["pairs_used"] + res.summary["pairs_skipped"] == 6
     for row in skipped:
         assert row["b1_ratio"] is None and row["passed"]
+
+
+def theta_constant_pairs(op, m, level, cells, eps):
+    """(2, P, m+1, n_x) pairs: v2 is `level` on the first `cells` cells and 0
+    elsewhere at every theta node, and v1 = v2 + eps, one pair per eps."""
+    v2 = np.zeros((len(eps), m + 1, op.grid_points))
+    v2[..., :cells] = level
+    return np.stack([v2 + np.reshape(eps, (-1, 1, 1)), v2])
+
+
+def test_lipschitz_negative_control_fails_against_m1():
+    # the counterexample to M1 being a Lipschitz bound of the delay term: a
+    # certified config where a pair with an unclipped plus gate exceeds M1_p
+    op = s.OperatorSpec(1000.0, 8, 1024)
+    ks = s.make_constant_kernel(0.1, 50, 1e-6, 1e-6, 2e-5)
+    problem = s.ProblemSpec(op, ks, s.nicholson(1.0), variant="p")
+    assert s.condition_report(problem, 1).verdict == "IM_exists"
+    eps = [1e-9, 1e-6, 1e-4]
+    dC, cols = s.experiments._pair_ratios(
+        problem, theta_constant_pairs(op, ks.m, 1.5, 6, eps))
+    assert dC.tolist() == pytest.approx([e * np.sqrt(op.domain_length)
+                                         for e in eps], rel=1e-6)
+    assert cols["b1_ratio"].tolist() == pytest.approx([1.4016] * 3, abs=1e-4)
+    assert not cols["passed"].any()
+
+
+def test_lipschitz_constructed_pair_reaches_past_the_samples(headline_problem):
+    # a pair the sampler never draws: mass 0.94 on 2 cells, so the plus gate
+    # is open, with a uniform difference; the kernel bound is tight on it
+    problem = replace(headline_problem, variant=s.KernelVariant.P)
+    op = problem.operator
+    dC, cols = s.experiments._pair_ratios(
+        problem, theta_constant_pairs(op, problem.m, 1.2, 2, [1e-3]))
+    assert dC[0] == pytest.approx(1e-3 * np.sqrt(op.domain_length), rel=1e-9)
+    assert cols["b1_ratio"][0] == pytest.approx(0.4741, abs=1e-4)
+    assert abs(cols["kernel_ratio_p"][0] - 1.0) <= 1e-12
+    assert cols["passed"][0]
+
+
+def test_stacked_draws_match_single_draws(op_pi):
+    # one field build serves a stack of draws and make_initial_history
+    ex = s.experiments
+    for family in ex.FAMILIES:
+        for sign in (1.0, -1.0):
+            params = np.stack([ex._draw_params(op_pi, family, 0.5,
+                                               np.random.default_rng(seed))
+                               for seed in range(4)])
+            stack = ex._histories(op_pi, 20, family, 0.5, params, sign)
+            for seed, rows in enumerate(stack):
+                single = s.make_initial_history(
+                    op_pi, 0.1, 20, family, 0.5,
+                    np.random.default_rng(seed), sign=sign)
+                assert np.array_equal(rows, single.values), (family, seed)
+
+
+LIPSCHITZ_FAMILIES = [("random_positive_fourier", 1.0),
+                      ("random_signed_fourier", 0.01),  # the minus gate opens
+                      ("gaussian_bumps", 0.5),
+                      ("constant", 0.5)]  # independent pairs are skipped
+
+
+@pytest.mark.parametrize("family, amplitude", LIPSCHITZ_FAMILIES)
+def test_lipschitz_rows_do_not_depend_on_chunk(headline_problem, monkeypatch,
+                                               family, amplitude):
+    chunk = s.experiments.PAIR_CHUNK
+    for trials in sorted({1, max(1, chunk - 1), chunk + 1, 61}):
+        cfg = s.ExperimentConfig(trials=trials, seed=4, horizon=1.0,
+                                 family=family, amplitude=amplitude)
+        runs = [s.run_lipschitz_sampling(headline_problem, cfg)]
+        for size in (1, trials):
+            with monkeypatch.context() as mp:
+                mp.setattr(s.experiments, "PAIR_CHUNK", size)
+                runs.append(s.run_lipschitz_sampling(headline_problem, cfg))
+        assert len(runs[0].trials) == trials
+        for res in runs[1:]:
+            assert repr(res.to_dict()) == repr(runs[0].to_dict()), (family, trials)
+        if family == "constant" and trials > 1:
+            assert runs[0].summary["pairs_skipped"] >= 1
+
+
+def test_lipschitz_calls_each_layer_once_per_chunk(headline_problem, monkeypatch):
+    calls = {"sign_masses": 0, "b_eval": 0, "inverse": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(s.experiments, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(s.experiments, name, counting)
+    chunk = s.experiments.PAIR_CHUNK
+    cfg = s.ExperimentConfig(trials=2 * chunk + 1, seed=4, horizon=1.0)
+    assert s.run_lipschitz_sampling(headline_problem, cfg).passed
+    assert calls == {"sign_masses": 3, "b_eval": 3, "inverse": 3}
 
 
 def test_attraction_rate_fits(pi_problem):
