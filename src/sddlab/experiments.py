@@ -108,11 +108,14 @@ def _fourier_coeffs(op: OperatorSpec, rng: np.random.Generator,
                     amplitude: float, rows: int = 2,
                     lowest: int = 1) -> np.ndarray:
     """(rows, K) sine coefficients, N(0, amplitude/k) on modes lowest..K and
-    0 below.  One rng call draws the rows in turn, with the bits of one call
-    per row: each element is loc + scale * a standard normal, in C order."""
+    0 below, with the bits of one ``rng.normal(0.0, amplitude / k)`` call per
+    row: that call makes each element 0.0 + scale * z from one standard
+    normal z, in C order, which one standard_normal call for all rows does
+    too, without normal's check of the scales."""
     k = np.arange(lowest, op.modes + 1, dtype=float)
     coeffs = np.zeros((rows, op.modes))
-    coeffs[:, lowest - 1:] = rng.normal(0.0, amplitude / k, size=(rows, k.size))
+    coeffs[:, lowest - 1:] = 0.0 + (amplitude / k) * rng.standard_normal(
+        (rows, k.size))
     return coeffs
 
 
@@ -307,40 +310,47 @@ def _difference_norms(op: OperatorSpec, tw: np.ndarray, v1: np.ndarray,
             _theta_dot(tw, _snapshot_l1(delta, op.h_x)))
 
 
-def _pair_ratios(problem: ProblemSpec,
-                 pairs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """norm_C(v1 - v2) and the columns of a checked pair (every variant's
-    ``kernel_ratio_*``, ``b1_ratio`` for ``problem.variant``, ``passed``) for
-    each of the P pairs (v1, v2) = pairs, a (2, P, m+1, n_x) stack.
+def _pair_evaluator(problem: ProblemSpec):
+    """The Lipschitz check of ``problem`` as a function of a (2, P, m+1, n_x)
+    stack of P pairs (v1, v2) = pairs.
 
-    ``sign_masses``, ``gates`` and ``b_eval`` run once on the 2P segments,
-    and per-row matmuls take the theta dots, window products and norms, so
-    each row has the bits of the single-segment API on its own pair.  A pair
-    with v1 == v2 has norm_C 0 and meaningless ratios; callers mask it.
+    It returns norm_C(v1 - v2) and the columns of a checked pair: every
+    variant's ``kernel_ratio_*`` against its l11, ``b1_ratio`` for
+    ``problem.variant`` against its M1, and ``passed``.  ``sign_masses``,
+    ``gates`` and ``b_eval`` run once on the 2P segments, and per-row matmuls
+    take the theta dots, window products and norms, so each row has the bits
+    of the single-segment API on its own pair.  A ratio with numerator 0 is
+    0, so a pair with v1 == v2 has norm_C 0 and ratios 0; callers mask it.
     """
     op, ks = problem.operator, problem.kernel
     tw = theta_weights(ks.r, ks.m)
-    P = pairs.shape[1]
-    both = pairs.reshape(2 * P, *pairs.shape[2:])
-    s_plus, s_minus = gates(tw, sign_masses(both, op.h_x))[..., None]
-    dC, d11 = _difference_norms(op, tw, *pairs)
-    cols = {}
-    with np.errstate(divide="ignore", invalid="ignore"):  # pairs with v1 == v2
+    l11 = {var: l11_constant(ks, var) for var in KernelVariant}
+    m1 = lipschitz_M1(problem)
+
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
+
+    def evaluate(pairs: np.ndarray) -> tuple[np.ndarray, dict]:
+        P = pairs.shape[1]
+        both = pairs.reshape(2 * P, *pairs.shape[2:])
+        s_plus, s_minus = gates(tw, sign_masses(both, op.h_x))[..., None]
+        dC, d11 = _difference_norms(op, tw, *pairs)
+        cols = {}
         for var in KernelVariant:
             xi = combine_profiles(ks, s_plus, s_minus, var)
             if var is problem.variant:
                 b1 = np.matmul((tw * xi)[:, None, :],
                                b_eval(problem.nonlinearity, both))[:, 0]
-            num = _theta_dot(tw, np.abs(xi[:P] - xi[P:]))
-            cols[f"kernel_ratio_{var.value}"] = np.where(
-                num == 0.0, 0.0, num / (l11_constant(ks, var) * d11))
-        num = field_l2_norm(op, GridField(b1[:P] - b1[P:]))
-        cols["b1_ratio"] = np.where(
-            num == 0.0, 0.0, num / (lipschitz_M1(problem) * dC))
-    cols["passed"] = cols["b1_ratio"] <= 1.0 + B1_TOL
-    for var in KernelVariant:
-        cols["passed"] &= cols[f"kernel_ratio_{var.value}"] <= 1.0 + KERNEL_TOL
-    return dC, cols
+            cols[f"kernel_ratio_{var.value}"] = ratio(
+                _theta_dot(tw, np.abs(xi[:P] - xi[P:])), l11[var] * d11)
+        cols["b1_ratio"] = ratio(
+            field_l2_norm(op, GridField(b1[:P] - b1[P:])), m1 * dC)
+        cols["passed"] = cols["b1_ratio"] <= 1.0 + B1_TOL
+        for var in KernelVariant:
+            cols["passed"] &= cols[f"kernel_ratio_{var.value}"] <= 1.0 + KERNEL_TOL
+        return dC, cols
+
+    return evaluate
 
 
 def _draw_pairs(problem: ProblemSpec, cfg: ExperimentConfig, trials: range,
@@ -384,7 +394,7 @@ def run_lipschitz_sampling(problem: ProblemSpec,
     per variant with its own constants.  Pair types cycle: independent draws,
     a scaled copy, and a nearby perturbation (covers clipped and unclipped
     gate regimes).  Zero-difference pairs are skipped.  Pairs are drawn
-    (``_draw_pairs``) and evaluated (``_pair_ratios``) PAIR_CHUNK at a time,
+    (``_draw_pairs``) and evaluated (``_pair_evaluator``) PAIR_CHUNK at a time,
     in one buffer that every chunk reuses; each row has the bits of its pair
     evaluated alone with the single-segment API, so the rows do not depend
     on PAIR_CHUNK.
@@ -393,10 +403,10 @@ def run_lipschitz_sampling(problem: ProblemSpec,
     # one buffer for every chunk: with a fresh stack per chunk, the heap grew
     # and shrank (and page-faulted) on every chunk
     work = np.empty((3 * chunk, problem.m + 1, problem.operator.grid_points))
-    rows = []
+    evaluate, rows = _pair_evaluator(problem), []
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
-        dC, cols = _pair_ratios(problem, _draw_pairs(problem, cfg, trials, work))
+        dC, cols = evaluate(_draw_pairs(problem, cfg, trials, work))
         cols = {key: col.tolist() for key, col in cols.items()}
         for j, i in enumerate(trials):
             row = {"trial": i, "pair": PAIR_KINDS[i % 3]}

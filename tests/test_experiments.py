@@ -339,8 +339,8 @@ def test_lipschitz_negative_control_fails_against_m1():
     problem = s.ProblemSpec(op, ks, s.nicholson(1.0), variant="p")
     assert s.condition_report(problem, 1).verdict == "IM_exists"
     eps = [1e-9, 1e-6, 1e-4]
-    dC, cols = s.experiments._pair_ratios(
-        problem, theta_constant_pairs(op, ks.m, 1.5, 6, eps))
+    dC, cols = s.experiments._pair_evaluator(problem)(
+        theta_constant_pairs(op, ks.m, 1.5, 6, eps))
     assert dC.tolist() == pytest.approx([e * np.sqrt(op.domain_length)
                                          for e in eps], rel=1e-6)
     assert cols["b1_ratio"].tolist() == pytest.approx([1.4016] * 3, abs=1e-4)
@@ -352,8 +352,8 @@ def test_lipschitz_constructed_pair_reaches_past_the_samples(headline_problem):
     # is open, with a uniform difference; the kernel bound is tight on it
     problem = replace(headline_problem, variant=s.KernelVariant.P)
     op = problem.operator
-    dC, cols = s.experiments._pair_ratios(
-        problem, theta_constant_pairs(op, problem.m, 1.2, 2, [1e-3]))
+    dC, cols = s.experiments._pair_evaluator(problem)(
+        theta_constant_pairs(op, problem.m, 1.2, 2, [1e-3]))
     assert dC[0] == pytest.approx(1e-3 * np.sqrt(op.domain_length), rel=1e-9)
     assert cols["b1_ratio"][0] == pytest.approx(0.4741, abs=1e-4)
     assert abs(cols["kernel_ratio_p"][0] - 1.0) <= 1e-12
