@@ -400,8 +400,8 @@ def run_lipschitz_sampling(problem: ProblemSpec,
     on PAIR_CHUNK.
     """
     chunk = min(PAIR_CHUNK, cfg.trials)
-    # one buffer for every chunk: with a fresh stack per chunk, the heap grew
-    # and shrank (and page-faulted) on every chunk
+    # one buffer for every chunk: with fresh stacks per chunk, glibc trimmed
+    # the heap after each chunk and the next one page-faulted it back
     work = np.empty((3 * chunk, problem.m + 1, problem.operator.grid_points))
     evaluate, rows = _pair_evaluator(problem), []
     for start in range(0, cfg.trials, chunk):
