@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from .conditions import condition_report, search_grid, synthesize_params
-from .errors import ConfigError, ContractViolation, IntegrationFailure
+from .errors import (ConfigError, ContractViolation, IntegrationFailure,
+                     require_int, require_real)
 from .experiments import (FAMILIES, ExperimentConfig, cone_sign, csv_text,
                           emit, json_text, make_initial_history,
                           run_attraction_rate, run_coincidence,
@@ -36,52 +37,53 @@ MAX_TRIAL_STEPS = 10**9
 MIN_BILLED_ROWS = 8
 
 # section -> key -> (JSON type, default or _REQUIRED, bound).  A default of
-# None makes the key nullable.  Bounds are (op, limit) for numbers and
-# integers, the allowed values for strings.  An "object" row is read with the
-# rows of the section named by its dotted path.
+# None makes the key nullable.  A bound is the op of require_real (">" or
+# ">=" 0) for a number, the minimum of require_int for an integer, and the
+# allowed values for a string.  An "object" row is read with the rows of the
+# section named by its dotted path.
 _SCHEMA = {
     "operator": {
-        "domain_length": ("number", _REQUIRED, (">", 0)),
-        "modes": ("integer", _REQUIRED, (">=", 1)),
-        "grid_points": ("integer", _REQUIRED, (">=", 2)),
+        "domain_length": ("number", _REQUIRED, ">"),
+        "modes": ("integer", _REQUIRED, 1),
+        "grid_points": ("integer", _REQUIRED, 2),
     },
     "kernel": {
-        "r": ("number", _REQUIRED, (">", 0)),
-        "m": ("integer", _REQUIRED, (">=", 1)),
-        "M_xi": ("number", _REQUIRED, (">", 0)),
-        "plus_integral": ("number", _REQUIRED, (">=", 0)),
-        "minus_integral": ("number", _REQUIRED, (">=", 0)),
+        "r": ("number", _REQUIRED, ">"),
+        "m": ("integer", _REQUIRED, 1),
+        "M_xi": ("number", _REQUIRED, ">"),
+        "plus_integral": ("number", _REQUIRED, ">="),
+        "minus_integral": ("number", _REQUIRED, ">="),
         "xi_plus": ("numbers", _REQUIRED, None),
         "xi_minus": ("numbers", _REQUIRED, None),
     },
     "nonlinearity": {
         "kind": ("string", _REQUIRED, ("nicholson",)),
-        "p": ("number", 1.0, (">", 0)),
+        "p": ("number", 1.0, ">"),
     },
     "conditions": {
-        "N": ("integer", _REQUIRED, (">=", 1)),
-        "mu": ("number", None, (">", 0)),
+        "N": ("integer", _REQUIRED, 1),
+        "mu": ("number", None, ">"),
     },
     "simulation": {
-        "horizon": ("number", _REQUIRED, (">", 0)),
-        "stride": ("integer", 10, (">=", 1)),
-        "record_modes": ("integer", None, (">=", 1)),
+        "horizon": ("number", _REQUIRED, ">"),
+        "stride": ("integer", 10, 1),
+        "record_modes": ("integer", None, 1),
         "initial": ("object", _REQUIRED, None),
     },
     "simulation.initial": {
         "family": ("string", _REQUIRED, FAMILIES),
-        "amplitude": ("number", _REQUIRED, (">=", 0)),
-        "seed": ("integer", _REQUIRED, (">=", 0)),
+        "amplitude": ("number", _REQUIRED, ">="),
+        "seed": ("integer", _REQUIRED, 0),
     },
     "experiment": {
-        "trials": ("integer", _REQUIRED, (">=", 1)),
-        "seed": ("integer", _REQUIRED, (">=", 0)),
-        "horizon": ("number", _REQUIRED, (">", 0)),
+        "trials": ("integer", _REQUIRED, 1),
+        "seed": ("integer", _REQUIRED, 0),
+        "horizon": ("number", _REQUIRED, ">"),
         "family": ("string", "random_positive_fourier", FAMILIES),
-        "amplitude": ("number", 1.0, (">=", 0)),
-        "stride": ("integer", 10, (">=", 1)),
-        "alpha_min": ("number", None, (">", 0)),
-        "N": ("integer", None, (">=", 1)),
+        "amplitude": ("number", 1.0, ">="),
+        "stride": ("integer", 10, 1),
+        "alpha_min": ("number", None, ">"),
+        "N": ("integer", None, 1),
         "cone": ("string", "both", ("positive", "negative", "both")),
     },
 }
@@ -96,35 +98,26 @@ def _is_real(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-_TYPES = {  # JSON type -> (test, what a value must be)
-    "number": (_is_real, "a finite number"),
-    "integer": (lambda v: type(v) is int, "an integer"),
-    "numbers": (lambda v: isinstance(v, list) and all(map(_is_real, v)),
-                "a list of numbers"),
-}
-
-
 def _value(path: str, val, kind: str, bound):
-    """Check one given entry against its row; returns the normalized value."""
+    """Check one given entry against its row; returns the normalized value.
+    A number or an integer takes the check of the Python argument it feeds."""
+    name = path.rsplit(".", 1)[-1]
+    if kind == "number":
+        return _at(path, require_real, name, val, bound)
+    if kind == "integer":
+        return _at(path, require_int, name, val, bound)
     if kind == "object":
         return _read(val, path)
     if kind == "string":
         test, what = (lambda v: v in bound), f"one of {list(bound)}"
-    else:
-        test, what = _TYPES[kind]
+    else:  # numbers
+        test, what = (lambda v: isinstance(v, list) and all(map(_is_real, v)),
+                      "a list of numbers")
     if val is None:
         raise ConfigError(path, f"must be {what}, not null")
     if not test(val):
         raise ConfigError(path, f"must be {what}")
-    if kind == "number":
-        val = float(val)
-    elif kind == "numbers":
-        val = [float(x) for x in val]
-    if kind in ("number", "integer"):
-        op, limit = bound
-        if not (val > limit if op == ">" else val >= limit):
-            raise ConfigError(path, f"must be {op} {limit}")
-    return val
+    return [float(x) for x in val] if kind == "numbers" else val
 
 
 def _read(sec, path: str, skip=()) -> dict:
@@ -165,13 +158,10 @@ def validate_config(raw) -> dict:
     profiles = isinstance(kernel, dict) and any(k in kernel for k in _PROFILES)
     if profiles and any(k in kernel for k in _INTEGRALS):
         raise ConfigError("kernel", "give either integrals or profiles, not both")
-    nl = raw["nonlinearity"]
-    if isinstance(nl, dict) and "kind" in nl and nl["kind"] != "nicholson":
-        raise ConfigError("nonlinearity.kind",
-                          "only 'nicholson' is constructible from a config file")
     variant = raw.get("variant", "full")
-    if variant not in ("full", "p", "n"):
-        raise ConfigError("variant", "must be one of ['full', 'p', 'n']")
+    variants = [v.value for v in KernelVariant]
+    if variant not in variants:
+        raise ConfigError("variant", f"must be one of {variants}")
     out = {key: _read(raw[key], key) if key in raw else None
            for key in _SECTIONS if key != "kernel"}
     out["kernel"] = _read(kernel, "kernel",

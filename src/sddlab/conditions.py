@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
-from .kernel import KernelVariant, l11_constant
+from .errors import ContractViolation, require_int, require_real
+from .kernel import KernelVariant, _as_variant, l11_constant
 from .nonlinear import NonlinearitySpec
 from .solver import ProblemSpec
 from .spectral import analytic_eigenvalues
@@ -41,9 +41,7 @@ def m1_constant(r: float, L_b: float, M_xi: float, M_b: float, l11: float,
 
 def lipschitz_M1(problem: ProblemSpec, variant=None) -> float:
     """M1 for the problem's kernel/nonlinearity under the given variant."""
-    if variant is None:
-        variant = problem.variant
-    variant = KernelVariant(variant)
+    variant = problem.variant if variant is None else _as_variant(variant)
     nl = problem.nonlinearity
     l11 = l11_constant(problem.kernel, variant)
     return m1_constant(problem.r, nl.L_b, problem.kernel.M_xi, nl.M_b, l11,
@@ -164,17 +162,13 @@ def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> C
     mu defaults to half the spectral gap (the largest value A4 allows).
     """
     op = problem.operator
-    if not (isinstance(N, int) and not isinstance(N, bool)):
-        raise ContractViolation("N must be an int")
-    if not 1 <= N <= op.modes - 1:
+    if not require_int("N", N, 1) <= op.modes - 1:
         raise ContractViolation("N must be in 1..K-1 (lambda_{N+1} is needed)")
     lam = analytic_eigenvalues(op)
     lam_N, lam_N1 = float(lam[N - 1]), float(lam[N])
     gap = lam_N1 - lam_N
-    if mu is None:
-        mu = gap / 2.0
-    mu = float(mu)
-    if not 0.0 < mu <= gap / 2.0:
+    mu = gap / 2.0 if mu is None else require_real("mu", mu)
+    if not mu <= gap / 2.0:
         raise ContractViolation("mu must lie in (0, gap/2]")
 
     nl, ks = problem.nonlinearity, problem.kernel
@@ -244,12 +238,9 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
     Returns the first feasible point in lexicographic (r, M_xi) order, or an
     infeasibility certificate naming the binding constraint.
     """
-    if not (isinstance(N, int) and not isinstance(N, bool) and N >= 1):
-        raise ContractViolation("N must be an int >= 1")
-    L = float(domain_length)
-    if not (np.isfinite(L) and L > 0.0):
-        raise ContractViolation("domain_length must be finite and > 0")
-    if not 0.0 <= margin < 1.0:
+    require_int("N", N, 1)
+    L = require_real("domain_length", domain_length)
+    if not require_real("margin", margin, ">=") < 1.0:
         raise ContractViolation("margin must lie in [0, 1)")
     r_grid = search_grid("r") if r_grid is None else np.asarray(r_grid, dtype=float)
     mxi_grid = (search_grid("M_xi") if mxi_grid is None

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument contracts shared across the package.
+
+Every constructor, entry point and config key that takes a bounded scalar
+checks it with ``require_int`` or ``require_real``, so a Python argument and
+the config value that feeds it are accepted and rejected alike.
+"""
 
 from __future__ import annotations
+
+import numbers
+import sys
+
+import numpy as np
 
 
 class ContractViolation(ValueError):
@@ -40,3 +50,29 @@ class ConfigError(ValueError):
     def __init__(self, key_path: str, message: str):
         self.key_path = key_path
         super().__init__(f"{key_path}: {message}")
+
+
+def require_int(name: str, value, minimum: int) -> int:
+    """``value`` if it is an int (a bool is not) and at least ``minimum``."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or value < minimum):
+        raise ContractViolation(f"{name} must be an int >= {minimum}")
+    return value
+
+
+def require_real(name: str, value, op: str = ">") -> float:
+    """``value`` as a float if it is a finite real number (a bool or a str is
+    not) that is ``> 0`` (op ">") or ``>= 0`` (op ">=")."""
+    # the abs bound rejects nan, inf and ints too large for a float
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max
+            or not (value > 0 if op == ">" else value >= 0)):
+        raise ContractViolation(f"{name} must be a real number, finite and {op} 0")
+    return float(value)
+
+
+def frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    arr = np.array(values, dtype=float, order="C")
+    arr.setflags(write=False)
+    return arr

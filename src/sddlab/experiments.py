@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .conditions import condition_report, lipschitz_M1
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int, require_real
 from .history import (HistorySegment, _snapshot_l1, _snapshot_l2, _theta_dot,
                       theta_weights)
 from .kernel import (KernelVariant, combine_profiles, gates, l11_constant,
@@ -60,21 +60,16 @@ class ExperimentConfig:
     alpha_min: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.trials, int) and not isinstance(self.trials, bool)
-                and self.trials >= 1):
-            raise ContractViolation("trials must be an int >= 1")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise ContractViolation("seed must be an int >= 0")
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ContractViolation("horizon must be finite and > 0")
+        # checked, not converted: the summaries report the values as given
+        require_int("trials", self.trials, 1)
+        require_int("seed", self.seed, 0)
+        require_real("horizon", self.horizon)
         if self.family not in FAMILIES:
             raise ContractViolation(f"family must be one of {FAMILIES}")
-        if not (np.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise ContractViolation("amplitude must be finite and >= 0")
-        if not (isinstance(self.stride, int) and not isinstance(self.stride, bool)
-                and self.stride >= 1):
-            raise ContractViolation("stride must be an int >= 1")
+        require_real("amplitude", self.amplitude, ">=")
+        require_int("stride", self.stride, 1)
+        if self.alpha_min is not None:
+            require_real("alpha_min", self.alpha_min)
 
 
 @dataclass(frozen=True)
@@ -177,8 +172,8 @@ def make_initial_history(op: OperatorSpec, r: float, m: int, family: str,
     object), so refinements share initial data."""
     if family not in FAMILIES:
         raise ContractViolation(f"family must be one of {FAMILIES}")
-    if not amplitude >= 0.0:
-        raise ContractViolation("amplitude must be >= 0")
+    require_real("amplitude", amplitude, ">=")
+    require_int("m", m, 1)
     params = _draw_params(op, family, amplitude, rng)
     rows = _histories(op, m, family, amplitude, params[None], sign)[0]
     return HistorySegment(operator=op, r=r, m=m, values=rows)
@@ -275,8 +270,7 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
             yield _negate_node(phi, cfg.amplitude) if i == cfg.trials else phi
 
     def pair_distance(rec_a, rec_b) -> float:
-        diff = rec_a.fields - rec_b.fields
-        return float(np.sqrt(op.h_x * (diff * diff).sum(axis=1)).max())
+        return float(_snapshot_l2(rec_a.fields - rec_b.fields, op.h_x).max())
 
     dists, it = [], draws()
     while batch := list(islice(it, BATCH_ROWS)):
@@ -300,14 +294,6 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
                        witness_distance=witness_distance, horizon=cfg.horizon)
     return ExperimentResult(name=f"coincidence_{cone}", passed=passed,
                             trials=rows, summary=summary)
-
-
-def _difference_norms(op: OperatorSpec, tw: np.ndarray, v1: np.ndarray,
-                      v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """norm_C and norm_L1L1 of v1 - v2 for each pair of the stacks."""
-    delta = v1 - v2
-    return (_snapshot_l2(delta, op.h_x).max(axis=-1),
-            _theta_dot(tw, _snapshot_l1(delta, op.h_x)))
 
 
 def _pair_evaluator(problem: ProblemSpec):
@@ -334,7 +320,12 @@ def _pair_evaluator(problem: ProblemSpec):
         P = pairs.shape[1]
         both = pairs.reshape(2 * P, *pairs.shape[2:])
         s_plus, s_minus = gates(tw, sign_masses(both, op.h_x))[..., None]
-        dC, d11 = _difference_norms(op, tw, *pairs)
+        # norm_C and norm_L1L1 of v1 - v2, per pair; the difference is freed
+        # before the b_eval temporaries, which set the peak memory
+        delta = pairs[0] - pairs[1]
+        dC = _snapshot_l2(delta, op.h_x).max(axis=-1)
+        d11 = _theta_dot(tw, _snapshot_l1(delta, op.h_x))
+        del delta
         cols = {}
         for var in KernelVariant:
             xi = combine_profiles(ks, s_plus, s_minus, var)

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolation, GridMismatch
+from .errors import (ContractViolation, GridMismatch, frozen, require_int,
+                     require_real)
 from .spectral import GridField, OperatorSpec
 
 
@@ -38,13 +39,9 @@ class HistorySegment:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and not isinstance(self.m, bool) and self.m >= 1):
-            raise ContractViolation("m must be an int >= 1")
-        r = float(self.r)
-        if not (np.isfinite(r) and r > 0.0):
-            raise ContractViolation("r must be finite and > 0")
-        object.__setattr__(self, "r", r)
-        arr = np.asarray(self.values, dtype=float)
+        require_int("m", self.m, 1)
+        object.__setattr__(self, "r", require_real("r", self.r))
+        arr = frozen(self.values)
         if arr.ndim != 2:
             raise ContractViolation("values must be a 2-D array (m+1 rows)")
         if arr.shape[0] != self.m + 1:
@@ -54,8 +51,6 @@ class HistorySegment:
             raise GridMismatch(
                 f"snapshots have {arr.shape[1]} samples, operator grid has "
                 f"{self.operator.grid_points}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def current(self) -> GridField:

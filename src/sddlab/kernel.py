@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapViolation, ContractViolation, GridMismatch
+from .errors import (CapViolation, ContractViolation, GridMismatch, frozen,
+                     require_int, require_real)
 from .history import HistorySegment, _theta_dot, theta_weights
 
 
@@ -47,18 +48,10 @@ class KernelSpec:
     M_xi: float
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and not isinstance(self.m, bool) and self.m >= 1):
-            raise ContractViolation("m must be an int >= 1")
-        r = float(self.r)
-        if not (np.isfinite(r) and r > 0.0):
-            raise ContractViolation("r must be finite and > 0")
-        object.__setattr__(self, "r", r)
-        M = float(self.M_xi)
-        if not (np.isfinite(M) and M > 0.0):
-            raise ContractViolation("M_xi must be finite and > 0")
-        object.__setattr__(self, "M_xi", M)
-        xp = np.asarray(self.xi_plus, dtype=float).copy()
-        xn = np.asarray(self.xi_minus, dtype=float).copy()
+        require_int("m", self.m, 1)
+        object.__setattr__(self, "r", require_real("r", self.r))
+        object.__setattr__(self, "M_xi", require_real("M_xi", self.M_xi))
+        xp, xn = frozen(self.xi_plus), frozen(self.xi_minus)
         for name, arr in (("xi_plus", xp), ("xi_minus", xn)):
             if arr.ndim != 1 or arr.size != self.m + 1:
                 raise ContractViolation(f"{name} must have m+1 = {self.m + 1} nodes")
@@ -68,15 +61,13 @@ class KernelSpec:
             raise ContractViolation("xi_plus must be >= 0 at every node")
         if np.any(xn > 0.0):
             raise ContractViolation("xi_minus must be <= 0 at every node")
-        half = M / 2.0
+        half = self.M_xi / 2.0
         if np.abs(xp).max() > half:
             raise CapViolation(
                 f"sup|xi_plus| <= M_xi/2 violated: {np.abs(xp).max()!r} > {half!r}")
         if np.abs(xn).max() > half:
             raise CapViolation(
                 f"sup|xi_minus| <= M_xi/2 violated: {np.abs(xn).max()!r} > {half!r}")
-        xp.setflags(write=False)
-        xn.setflags(write=False)
         object.__setattr__(self, "xi_plus", xp)
         object.__setattr__(self, "xi_minus", xn)
 
@@ -88,13 +79,11 @@ def make_constant_kernel(r: float, m: int, plus_integral: float,
     Levels are plus_integral / r and -minus_integral / r; both integrals are
     taken as absolute targets (>= 0).
     """
-    for name, val in (("plus_integral", plus_integral), ("minus_integral", minus_integral)):
-        if not (np.isfinite(val) and val >= 0.0):
-            raise ContractViolation(f"{name} must be finite and >= 0")
-    r = float(r)
-    if not (np.isfinite(r) and r > 0.0):
-        raise ContractViolation("r must be finite and > 0")
-    half = float(M_xi) / 2.0
+    plus_integral = require_real("plus_integral", plus_integral, ">=")
+    minus_integral = require_real("minus_integral", minus_integral, ">=")
+    r = require_real("r", r)
+    require_int("m", m, 1)
+    half = require_real("M_xi", M_xi) / 2.0
     cp = plus_integral / r
     cn = minus_integral / r
     if cp > half:
@@ -107,11 +96,6 @@ def make_constant_kernel(r: float, m: int, plus_integral: float,
                       xi_plus=np.full(m + 1, cp),
                       xi_minus=np.full(m + 1, -cn),
                       M_xi=M_xi)
-
-
-def clip_gate(norm):
-    """The saturation gate min(norm, 1), elementwise; NaN clips to 1."""
-    return np.fmin(norm, 1.0)
 
 
 def sign_masses(values: np.ndarray, h_x: float) -> np.ndarray:
@@ -128,8 +112,8 @@ def sign_masses(values: np.ndarray, h_x: float) -> np.ndarray:
 def gates(tw: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Clipped gates (s_plus, s_minus) = min(||v_pm||_L1L1, 1) from the
     trapezoid weights and the (2, ..., m+1) sign masses; the gates have shape
-    (2, ...), each with the bits of one window's gate."""
-    return clip_gate(_theta_dot(tw, masses))
+    (2, ...), each with the bits of one window's gate; a NaN mass clips to 1."""
+    return np.fmin(_theta_dot(tw, masses), 1.0)
 
 
 def combine_profiles(spec: KernelSpec, s_plus, s_minus,

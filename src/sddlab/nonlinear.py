@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_real
 from .history import HistorySegment, theta_weights
 from .kernel import KernelSpec, KernelVariant, eval_xi
 from .spectral import GridField
@@ -34,9 +34,7 @@ class NonlinearitySpec:
     L_b: float = field(init=False)
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (np.isfinite(p) and p > 0.0):
-            raise ContractViolation("p must be finite and > 0")
+        p = require_real("p", self.p)
         object.__setattr__(self, "p", p)
         # |b| and |b'| are even and decay beyond their critical points, so
         # the search on [0, 20] covers the line

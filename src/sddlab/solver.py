@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, GridMismatch, IntegrationFailure
+from .errors import (ContractViolation, GridMismatch, IntegrationFailure,
+                     require_int)
 from .history import HistorySegment, theta_weights
 from .kernel import (KernelSpec, KernelVariant, _as_variant, combine_profiles,
                      gates, sign_masses)
@@ -163,10 +164,8 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     failed row is raised, the one a loop over the histories would raise first.
     A non-finite initial history is a ContractViolation that names its index.
     """
-    if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
-        raise ContractViolation("steps must be an int >= 0")
-    if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
-        raise ContractViolation("stride must be an int >= 1")
+    require_int("steps", steps, 0)
+    require_int("stride", stride, 1)
 
     eng = _Engine(problem, phis, variants)
     h = problem.h

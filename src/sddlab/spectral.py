@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, GridMismatch
+from .errors import (ContractViolation, GridMismatch, frozen, require_int,
+                     require_real)
 
 # scipy.fft (~0.4 s to import), bound by the first transform; check never transforms
 _fft = None
@@ -55,15 +56,10 @@ class OperatorSpec:
     grid_points: int
 
     def __post_init__(self):
-        _require(isinstance(self.modes, int) and not isinstance(self.modes, bool),
-                 "modes must be an int")
-        _require(isinstance(self.grid_points, int) and not isinstance(self.grid_points, bool),
-                 "grid_points must be an int")
-        L = float(self.domain_length)
-        _require(np.isfinite(L) and L > 0.0, "domain_length must be finite and > 0")
-        object.__setattr__(self, "domain_length", L)
-        _require(self.modes >= 1, "modes must be >= 1")
-        _require(self.grid_points >= 2, "grid_points must be >= 2")
+        object.__setattr__(self, "domain_length",
+                           require_real("domain_length", self.domain_length))
+        require_int("modes", self.modes, 1)
+        require_int("grid_points", self.grid_points, 2)
         # mode n_x is not discretely orthonormal on the midpoint grid
         _require(self.modes <= self.grid_points - 1,
                  "modes must be <= grid_points - 1 for an exact transform pair")
@@ -84,10 +80,8 @@ class GridField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = frozen(self.values)
         _require(arr.ndim in (1, 2) and arr.size >= 1, "GridField values must be 1-D or 2-D")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -101,10 +95,8 @@ class ModeVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+        arr = frozen(self.coeffs)
         _require(arr.ndim in (1, 2) and arr.size >= 1, "ModeVector coeffs must be 1-D or 2-D")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     def __len__(self) -> int:

@@ -517,7 +517,8 @@ def test_emit_formats_and_empty(tmp_path):
     paths = s.emit([empty], str(tmp_path / "e"), format="both")
     csv_path = [p for p in paths if p.endswith(".csv")][0]
     assert os.path.getsize(csv_path) == 0
-    payload = json.loads(open([p for p in paths if p.endswith(".json")][0]).read())
+    with open([p for p in paths if p.endswith(".json")][0]) as fh:
+        payload = json.load(fh)
     assert payload[0]["name"] == "nothing"
     only_json = s.emit([empty], str(tmp_path / "j"), format="json")
     assert all(p.endswith(".json") for p in only_json)

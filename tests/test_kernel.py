@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sddlab as s
 from sddlab.errors import CapViolation, ContractViolation, GridMismatch
-from sddlab.kernel import clip_gate
+from sddlab.kernel import gates
 
 from conftest import random_history
 
@@ -137,8 +137,10 @@ def test_sup_cap_invariant(headline_kernel, op_headline):
 @settings(max_examples=200, deadline=None)
 @given(a=st.floats(0.0, 1e6), b=st.floats(0.0, 1e6))
 def test_clip_gate_properties(a, b):
-    assert 0.0 <= clip_gate(a) <= 1.0
-    assert abs(clip_gate(a) - clip_gate(b)) <= abs(a - b)
+    # a one-node window of weight 1: the gates are the clipped masses a, b
+    gate_a, gate_b = gates(np.array([1.0]), np.array([[a], [b]]))
+    assert 0.0 <= gate_a <= 1.0
+    assert abs(gate_a - gate_b) <= abs(a - b)
 
 
 def test_variant_additivity_bitwise(headline_kernel, op_headline):
