@@ -1,8 +1,9 @@
 """Exception types and the argument contracts shared across the package.
 
-Every constructor, entry point and config key that takes a bounded scalar
-checks it with ``require_int`` or ``require_real``, so a Python argument and
-the config value that feeds it are accepted and rejected alike.
+The model's constructors and entry points check each bounded scalar they
+take with ``require_int`` or ``require_real``, and the CLI checks its numeric
+config keys with the same two functions, so a config value and the Python
+argument it feeds are accepted and rejected alike.
 """
 
 from __future__ import annotations
