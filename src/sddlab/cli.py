@@ -26,7 +26,9 @@ from .experiments import (FAMILIES, ExperimentConfig, cone_sign, csv_text,
 from .kernel import KernelSpec, KernelVariant, make_constant_kernel
 from .nonlinear import nicholson
 from .solver import ProblemSpec, evolve, steps_for_horizon
-from .spectral import GridField, OperatorSpec, field_l2_norm, forward
+from .spectral import (GridField, OperatorSpec, analytic_eigenvalues,
+                       dirichlet_eigenvalues, field_l2_norm, forward,
+                       full_discrete_eigenvalues)
 
 _REQUIRED = object()
 
@@ -222,6 +224,10 @@ def _run_steps(section: str, kernel: KernelSpec, horizon: float,
 
 def build_problem(cfg: dict) -> ProblemSpec:
     op = _at("operator", OperatorSpec, **cfg["operator"])
+    # every command needs one of the two spectra; a too short domain
+    # overflows them
+    for eigenvalues in (analytic_eigenvalues, full_discrete_eigenvalues):
+        _at("operator.domain_length", eigenvalues, op)
     kc = cfg["kernel"]
     if "xi_plus" in kc:
         ks = _at("kernel", KernelSpec, r=kc["r"], m=kc["m"],
@@ -270,7 +276,10 @@ def cmd_synthesize(args) -> int:
                  args.r_points)
     mxi_grid = _at("grid", search_grid, "M_xi", args.mxi_min, args.mxi_max,
                    args.mxi_points)
-    result = synthesize_params(args.low_modes, nl, args.domain_length,
+    # lambda_{N+1} must not overflow, or no grid point can be certified
+    L = _at("-L", require_real, "domain_length", args.domain_length)
+    _at("-L", dirichlet_eigenvalues, L, args.low_modes + 1)
+    result = synthesize_params(args.low_modes, nl, L,
                                margin=args.margin, r_grid=r_grid,
                                mxi_grid=mxi_grid)
     if args.format == "csv":

@@ -249,8 +249,11 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
         raise ContractViolation("search grids must be non-empty")
     search = {"r_points": int(r_grid.size), "mxi_points": int(mxi_grid.size)}
 
-    lam_N = (N * np.pi / L) ** 2
-    lam_N1 = ((N + 1) * np.pi / L) ** 2
+    try:
+        lam_N = (N * np.pi / L) ** 2
+        lam_N1 = ((N + 1) * np.pi / L) ** 2
+    except OverflowError:  # inf, as when N pi / L itself overflows: infeasible
+        lam_N = lam_N1 = math.inf
     gap = lam_N1 - lam_N
     mu = gap / 2.0
     M_b, L_b = nonlinearity.M_b, nonlinearity.L_b

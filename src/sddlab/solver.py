@@ -64,10 +64,12 @@ def steps_for_horizon(kernel: KernelSpec, T: float) -> int:
 
 
 class _Engine:
-    """Lockstep stepper behind ``evolve``: the current rows ``u`` (B, n_x) plus
-    mirror rings of 2(m+1) slots for the per-snapshot b values and sign masses
-    the forcing needs.  A new snapshot goes to slots ``head`` and ``head + m + 1``,
-    so slots ``head:head + m + 1`` always hold the window, oldest first."""
+    """Lockstep stepper behind ``evolve``: a (2, B, n_x) buffer whose row 0
+    holds the current states ``u`` and row 1 their forcing, so one DST call
+    transforms both, plus mirror rings of 2(m+1) slots for the per-snapshot
+    b values and sign masses the forcing needs.  A new snapshot goes to slots
+    ``head`` and ``head + m + 1``, so slots ``head:head + m + 1`` always hold
+    the window, oldest first."""
 
     def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment],
                  variants: Optional[Sequence[KernelVariant]] = None):
@@ -94,7 +96,9 @@ class _Engine:
         self.problem = problem
         self.tw = theta_weights(problem.r, problem.m)
         values = np.stack([phi.values for phi in phis])
-        self.u = values[:, -1].copy()
+        self.buf = np.empty((2, len(phis), op.grid_points))
+        self.u = self.buf[0]
+        self.u[...] = values[:, -1]
         # overflow in b on absurd data surfaces as IntegrationFailure later
         with np.errstate(over="ignore", invalid="ignore"):
             b_rows = b_eval(problem.nonlinearity, values)
@@ -108,23 +112,35 @@ class _Engine:
         self.G = -np.expm1(-lam * h) / lam
 
     def forcing(self) -> np.ndarray:
-        """(B, n_x) delay forcing of the current windows.  Each row is a
-        (1, m+1) @ (m+1, n_x) matmul, the product ``delay_term`` takes, with
-        the xi of its own variant: one ``combine_profiles`` call per group."""
+        """Write the (B, n_x) delay forcing of the current windows into row 1
+        of the buffer and return it.  Each row is a (1, m+1) @ (m+1, n_x)
+        matmul, the product ``delay_term`` takes, with the xi of its own
+        variant: one ``combine_profiles`` call per group."""
         win = slice(self.head, self.head + self.problem.m + 1)
         s_plus, s_minus = gates(self.tw, self.masses[..., win])[..., None]
-        xi = np.empty((len(self.u), self.problem.m + 1))
-        for variant, rows in self.groups:
-            xi[rows] = combine_profiles(self.problem.kernel, s_plus[rows],
-                                        s_minus[rows], variant)
-        return np.matmul((self.tw * xi)[:, None, :], self.b_rows[:, win])[:, 0]
+        if len(self.groups) == 1:
+            xi = combine_profiles(self.problem.kernel, s_plus, s_minus,
+                                  self.groups[0][0])
+        else:
+            xi = np.empty((len(self.u), self.problem.m + 1))
+            for variant, rows in self.groups:
+                xi[rows] = combine_profiles(self.problem.kernel, s_plus[rows],
+                                            s_minus[rows], variant)
+        f = self.buf[1]
+        np.matmul((self.tw * xi)[:, None, :], self.b_rows[:, win],
+                  out=f[:, None, :])
+        return f
 
     def advance(self) -> np.ndarray:
-        """Step every row once and return the new current rows.  A row that
-        goes non-finite stays in the stack; the caller checks finiteness."""
-        # one DST call transforms both the rows and their forcing
-        a, f = dst(np.array([self.u, self.forcing()]), type=2)
-        self.u = idst(self.E * a + self.G * f, type=2)
+        """Step every row once and return the new current rows, row 0 of the
+        buffer.  A row that goes non-finite stays in the stack; the caller
+        checks finiteness."""
+        self.forcing()
+        a, f = dst(self.buf, type=2)
+        a *= self.E
+        f *= self.G
+        a += f
+        self.u[...] = idst(a, type=2)
         # the new snapshot replaces the oldest one, in both mirror slots
         slots = slice(self.head, None, self.problem.m + 1)
         self.b_rows[:, slots] = b_eval(self.problem.nonlinearity, self.u)[:, None]
@@ -149,6 +165,12 @@ class TrajectoryRecord:
     fields: Optional[np.ndarray] = None
 
 
+# steps whose states evolve holds before it takes their extrema and checks
+# their finiteness in one go; no result depends on it, and it must not grow
+# with ``stride``, since the block holds BLOCK x B x n_x floats
+BLOCK = 16
+
+
 def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
            stride: int = 10, record_fields: bool = False,
            variants: Optional[Sequence[KernelVariant]] = None
@@ -162,7 +184,9 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     batch of one.  A row whose state goes non-finite is left behind while the
     others keep stepping; at the end the IntegrationFailure of the lowest
     failed row is raised, the one a loop over the histories would raise first.
-    A non-finite initial history is a ContractViolation that names its index.
+    Finiteness is checked once per block of BLOCK steps, so a failure of row
+    0 ends stepping at the end of its block, with the same error.  A
+    non-finite initial history is a ContractViolation that names its index.
     """
     require_int("steps", steps, 0)
     require_int("stride", stride, 1)
@@ -182,25 +206,33 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     u = eng.u
     min_overall, max_overall = u.min(axis=1), u.max(axis=1)
     failed_at = np.zeros(len(phis), dtype=int)  # first non-finite step, 0: none
+    block = np.empty((BLOCK,) + u.shape)
+    rows = np.arange(len(phis))
     # overflow/invalid warnings are redundant: the finiteness check turns
     # any blow-up into IntegrationFailure
     with np.errstate(over="ignore", invalid="ignore"):
         sample(0, u)
-        for k in range(1, steps + 1):
-            u = eng.advance()
-            u_min, u_max = u.min(axis=1), u.max(axis=1)
-            # a row is finite iff its extrema are: NaN propagates through
-            # both, +inf reaches the max and -inf the min
-            finite = np.isfinite(u_min) & np.isfinite(u_max)
-            if not finite.all():
-                failed_at[(failed_at == 0) & ~finite] = k
-                if failed_at[0]:  # no lower row is left to fail first
-                    break
-            # Python's min()/max() semantics, signed zeros included
+        k = 0
+        while k < steps and not failed_at[0]:  # no lower row can fail first
+            n = min(BLOCK, steps - k)
+            for j in range(n):
+                k += 1
+                block[j] = eng.advance()
+                if k % stride == 0 or k == steps:
+                    sample(k, block[j])
+            # (n, B) per-step extrema; a row is finite iff its extrema are:
+            # NaN propagates through both, +inf reaches the max, -inf the min
+            u_min, u_max = block[:n].min(axis=2), block[:n].max(axis=2)
+            if not np.isfinite(u_max - u_min).all():
+                finite = np.isfinite(u_min) & np.isfinite(u_max)
+                new = (failed_at == 0) & ~finite.all(axis=0)
+                failed_at[new] = (k - n + 1 + finite.argmin(axis=0))[new]
+            # the first occurrence along time, then a strict comparison: the
+            # fold of Python's min()/max(), signed zeros included
+            u_min = u_min[u_min.argmin(axis=0), rows]
+            u_max = u_max[u_max.argmax(axis=0), rows]
             min_overall = np.where(u_min < min_overall, u_min, min_overall)
             max_overall = np.where(u_max > max_overall, u_max, max_overall)
-            if k % stride == 0 or k == steps:
-                sample(k, u)
     for row, k in enumerate(failed_at):
         if k:
             raise IntegrationFailure(k, k * h, row)

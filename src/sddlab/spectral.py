@@ -17,24 +17,27 @@ import numpy as np
 from .errors import (ContractViolation, GridMismatch, frozen, require_int,
                      require_real)
 
-# scipy.fft (~0.4 s to import), bound by the first transform; check never transforms
+# scipy.fft._pocketfft, the default backend scipy.fft.dst/idst dispatch to,
+# bound by the first transform: its import loads scipy.fft (~0.4 s), which
+# check never needs.  Called directly it makes the same pocketfft call with
+# the same bits and skips scipy.fft's backend dispatch (~4 us a call).
 _fft = None
 
 
-def _scipy_fft():
+def _pocketfft():
     global _fft
-    import scipy.fft as _fft
+    from scipy.fft import _pocketfft as _fft
     return _fft
 
 
 def dst(x, *args, **kwargs):
     """scipy.fft.dst; the first transform imports scipy.fft."""
-    return (_fft or _scipy_fft()).dst(x, *args, **kwargs)
+    return (_fft or _pocketfft()).dst(x, *args, **kwargs)
 
 
 def idst(x, *args, **kwargs):
     """scipy.fft.idst; the first transform imports scipy.fft."""
-    return (_fft or _scipy_fft()).idst(x, *args, **kwargs)
+    return (_fft or _pocketfft()).idst(x, *args, **kwargs)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -103,10 +106,23 @@ class ModeVector:
         return self.coeffs.shape[-1]
 
 
+def _no_overflow(domain_length: float, lam: np.ndarray) -> np.ndarray:
+    _require(np.isfinite(lam).all(),
+             f"domain_length {domain_length!r} is too small: its eigenvalues overflow")
+    return lam
+
+
+def dirichlet_eigenvalues(domain_length: float, k) -> np.ndarray:
+    """lambda_k = (k pi / L)^2 for the mode numbers k; a domain so short that
+    one of them overflows is a ContractViolation that names domain_length."""
+    with np.errstate(over="ignore"):
+        return _no_overflow(domain_length,
+                            (np.asarray(k, dtype=float) * np.pi / domain_length) ** 2)
+
+
 def analytic_eigenvalues(spec: OperatorSpec) -> np.ndarray:
     """lambda_k = (k pi / L)^2 for k = 1 .. K."""
-    k = np.arange(1, spec.modes + 1, dtype=float)
-    return (k * np.pi / spec.domain_length) ** 2
+    return dirichlet_eigenvalues(spec.domain_length, np.arange(1, spec.modes + 1))
 
 
 def full_discrete_eigenvalues(spec: OperatorSpec) -> np.ndarray:
@@ -114,12 +130,15 @@ def full_discrete_eigenvalues(spec: OperatorSpec) -> np.ndarray:
     (the time-stepping spectrum; the first K pair with the retained modes).
 
     lambda_hat_k = (2/h^2)(1 - cos(k pi h / L)), evaluated in the
-    cancellation-free form (4/h^2) sin^2(k pi h / (2L)).
+    cancellation-free form (4/h^2) sin^2(k pi h / (2L)).  Like
+    ``dirichlet_eigenvalues``, an overflow names domain_length.
     """
-    h = spec.h_x
+    # h * h (or h) may underflow to 0: inf (or inf * 0), not ZeroDivisionError
+    h = np.float64(spec.h_x)
     k = np.arange(1, spec.grid_points + 1, dtype=float)
     s = np.sin(k * np.pi * h / (2.0 * spec.domain_length))
-    return (4.0 / (h * h)) * s * s
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _no_overflow(spec.domain_length, (4.0 / (h * h)) * s * s)
 
 
 def eigenfunction(spec: OperatorSpec, k: int) -> GridField:

@@ -279,6 +279,16 @@ def test_synthesize_missing_N():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("L", ["0", "-1", "nan", "inf", "1e-160", "1e-300",
+                               "5e-324"])
+def test_synthesize_rejects_domain_length(L, capsys):
+    # past ~1e-154 the eigenvalues overflow, and no grid point is certifiable
+    assert main(["synthesize", "-N", "1", "-L", L]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at -L: domain_length")
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_synthesize_bad_grid(capsys):
     assert main(["synthesize", "-N", "1", "-L", "100.0",
                  "--r-min", "2.0", "--r-max", "1.0"]) == 2
@@ -531,8 +541,9 @@ NAN = float("nan")
 # sections count as keys.  Every value must be rejected by every command.
 CONFIG_KEYS = {
     "operator": ([[], 1, "x"], [], True, False),
-    "operator.domain_length": (["1", True, [1.0], NAN, 10**400], [0, -1.0],
-                               True, False),
+    # below ~1e-154 the eigenvalues overflow
+    "operator.domain_length": (["1", True, [1.0], NAN, 10**400],
+                               [0, -1.0, 1e-160, 1e-300, 5e-324], True, False),
     "operator.modes": ([8.0, True, "8"], [0, -1], True, False),
     "operator.grid_points": ([64.0, True], [1], True, False),
     "kernel": ([[], 1], [], True, False),

@@ -290,6 +290,13 @@ def test_synthesize_threshold_long_domain(nl):
     assert 0.3 < R_THRESHOLD_100 < 0.4
 
 
+@pytest.mark.parametrize("L", [1e-160, 1e-300, 5e-324])
+def test_synthesize_short_domain_is_infeasible(nl, L):
+    # eigenvalues that overflow certify no grid point; no OverflowError
+    res = s.synthesize_params(1, nl, L)
+    assert not res.feasible and res.params is None
+
+
 def test_synthesize_contracts(nl):
     with pytest.raises(ContractViolation):
         s.synthesize_params(0, nl, 100.0)

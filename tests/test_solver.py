@@ -1,10 +1,12 @@
 """Time stepping: fixed points, exact linear flow, determinism, convergence,
 dissipativity, and failure signaling."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import sddlab as s
 from sddlab.errors import ContractViolation, GridMismatch, IntegrationFailure
@@ -112,6 +114,45 @@ def test_engine_forcing_is_delay_term_bitwise(pi_problem, op_pi):
             windows = np.concatenate([windows[:, 1:], u[:, None]], axis=1)
 
 
+def reference_states(problem, phis, variants, steps):
+    """(steps + 1, B, n_x) states of a plain serial stepper: delay_term on
+    each row's window, scipy.fft.dst of [u, F], scipy.fft.idst of
+    E a + G f."""
+    op, ks, nl = problem.operator, problem.kernel, problem.nonlinearity
+    lam = full_discrete_eigenvalues(op)
+    E, G = np.exp(-lam * problem.h), -np.expm1(-lam * problem.h) / lam
+    windows = [phi.values for phi in phis]
+    states = [[w[-1] for w in windows]]
+    for _ in range(steps):
+        for i, variant in enumerate(variants):
+            F = s.delay_term(nl, ks, s.HistorySegment(op, ks.r, ks.m, windows[i]),
+                             variant).values
+            a, f = scipy.fft.dst(np.array([windows[i][-1], F]), type=2)
+            windows[i] = np.vstack([windows[i][1:], scipy.fft.idst(E * a + G * f, type=2)])
+        states.append([w[-1] for w in windows])
+    return np.array(states)
+
+
+@pytest.mark.parametrize("grid_points", [64, 100])
+def test_evolve_matches_reference_stepper_bitwise(pi_problem, grid_points):
+    # every state and extremum of 60 steps, bit for bit, for each variant
+    # alone (B = 1 and 5) and for mixed variants
+    V = s.KernelVariant
+    prob = replace(pi_problem,
+                   operator=s.OperatorSpec(float(np.pi), 8, grid_points))
+    phis = gated_histories(prob, 5, 70)
+    for variants in ([V.FULL], [V.P], [V.N], [V.FULL] * 5, [V.P] * 5,
+                     [V.N] * 5, [V.N, V.FULL, V.P, V.FULL, V.N]):
+        B = len(variants)
+        ref = reference_states(prob, phis[:B], variants, 60)
+        recs = s.evolve(prob, phis[:B], 60, stride=1, record_fields=True,
+                        variants=variants)
+        for i, rec in enumerate(recs):
+            assert rec.fields.tobytes() == ref[:, i].tobytes(), (variants, i)
+            assert repr((rec.min_overall, rec.max_overall)) == repr(
+                (float(min(ref[:, i].min(axis=1))), float(max(ref[:, i].max(axis=1)))))
+
+
 def test_batch_invariance_bitwise(pi_problem, op_pi):
     # a batch of B gives the same bits as B batches of one
     phis = gated_histories(pi_problem, 64, 44)
@@ -151,36 +192,83 @@ def test_integration_failure_reports_lowest_failed_row(pi_problem, op_pi,
 
 def test_integration_failure_from_row_extrema(pi_problem, op_pi, monkeypatch):
     # +inf shows only in a row's max, -inf only in its min, NaN in both; each
-    # is injected into one row at its own step and then spreads to the row
+    # is injected into one row at its own step and then spreads to the row.
+    # evolve checks extrema once per block of 16 steps (solver.BLOCK), so
+    # steps 15, 16, 17 and the last one sit at a block's edges
     advance = _Engine.advance
+    steps = 40
 
-    def failure(phis, plan):
-        """(step, t, row) of the IntegrationFailure when ``plan`` maps a row
-        to the (step, value) written into one of its cells."""
-        stepped = []
+    def run(phis, plan, stride=10):
+        """evolve with ``plan[k]``'s (row, value) pairs written into cell 5
+        after step k; returns the records and the state of every step."""
+        states = [np.stack([phi.values[-1] for phi in phis])]
 
         def injecting(self):
             u = advance(self)
-            stepped.append(1)
-            for row, (k, value) in plan.items():
-                if len(stepped) == k:
-                    u[row, 5] = value
+            for row, value in plan.get(len(states), ()):
+                u[row, 5] = value
+            states.append(u.copy())
             return u
 
         monkeypatch.setattr(_Engine, "advance", injecting)
+        return s.evolve(pi_problem, phis, steps, stride), states
+
+    def failure(phis, plan, stride=10):
+        """(step, t, row) of the IntegrationFailure when ``plan`` maps a row
+        to the (step, value) written into one of its cells."""
+        by_step = {}
+        for row, (k, value) in plan.items():
+            by_step.setdefault(k, []).append((row, value))
         with pytest.raises(IntegrationFailure) as exc:
-            s.evolve(pi_problem, phis, 20)
+            run(phis, by_step, stride)
         return exc.value.step_index, exc.value.t, exc.value.row
 
     h = pi_problem.h
     phis = [s.constant_history(op_pi, 0.1, 50, c) for c in (1.0, 2.0, 3.0)]
     for value in (np.inf, -np.inf, np.nan):
-        assert failure(phis[:1], {0: (3, value)}) == (3, 3 * h, 0)
+        for k in (3, 15, 16, 17, steps):
+            for stride in (1, 7, 10**6):
+                assert failure(phis[:1], {0: (k, value)}, stride) == (k, k * h, 0)
     plan = {0: (9, np.inf), 1: (6, -np.inf), 2: (2, np.nan)}
     # the lowest failed row is raised, even when a higher one failed earlier
     assert failure(phis, plan) == (9, 9 * h, 0)
     assert failure(phis, {1: plan[1], 2: plan[2]}) == (6, 6 * h, 1)
     assert failure(phis, {2: plan[2]}) == (2, 2 * h, 2)
+    # ... also when the higher row failed in an earlier block
+    assert failure(phis, {0: (17, np.nan), 1: (16, np.inf)}) == (17, 17 * h, 0)
+    assert failure(phis, {1: (steps, -np.inf), 2: (15, np.nan)}) == (steps, steps * h, 1)
+
+    # signed zeros: each record is the step-by-step fold of Python's min()
+    # and max(), which keeps the first of two equal extrema
+    for early, late in ((3, 20), (3, 9), (16, 17)):
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            for sign in (1.0, -1.0):  # min of positive data, max of negative
+                cone = [s.constant_history(op_pi, 0.1, 50, sign * c)
+                        for c in (1.0, 2.0)]
+                plan = {early: [(1, first)], late: [(1, second)]}
+                recs, states = run(cone, plan, stride=7)
+                for row, rec in enumerate(recs):
+                    expected = (min(u[row].min() for u in states),
+                                max(u[row].max() for u in states))
+                    assert repr((rec.min_overall, rec.max_overall)) == repr(
+                        tuple(map(float, expected)))
+                assert repr(recs[1].min_overall if sign > 0
+                            else recs[1].max_overall) == repr(first)
+                # samples are still taken every stride steps
+                assert np.array_equal(recs[0].times,
+                                      np.array([0, 7, 14, 21, 28, 35, 40]) * h)
+
+    # nothing in a run grows with stride: a block of stride steps would
+    # hold 10**6 x 3 x 64 floats
+    monkeypatch.setattr(_Engine, "advance", advance)
+    tracemalloc.start()
+    try:
+        for stride in (1, 7, 10**6):
+            tracemalloc.reset_peak()
+            s.evolve(pi_problem, phis, steps, stride)
+            assert tracemalloc.get_traced_memory()[1] < 2**20, stride
+    finally:
+        tracemalloc.stop()
 
 
 def signed_histories(problem, count, seed):

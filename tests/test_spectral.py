@@ -92,16 +92,53 @@ def test_stacked_transforms_match_rows_bitwise(op_headline):
 
 
 def test_lazy_transforms_match_scipy_bitwise(monkeypatch):
+    # the binding is scipy.fft._pocketfft, the backend scipy.fft dispatches
+    # to; an inverse computed as scipy.fftpack.dst(x, type=3) / (2 n) differs
+    # in the last bits when n is not a power of two
     import scipy.fft
 
     from sddlab import spectral
-    x = np.random.default_rng(5).normal(size=(3, 64))
+    rng = np.random.default_rng(5)
     for name in ("dst", "idst"):
         monkeypatch.setattr(spectral, "_fft", None)  # before the first transform
-        for _ in range(2):  # the first call loads scipy.fft, the second reuses it
-            assert np.array_equal(getattr(spectral, name)(x, type=2),
-                                  getattr(scipy.fft, name)(x, type=2))
-        assert spectral._fft is scipy.fft
+        # the first call loads scipy.fft, the later ones reuse it
+        for n in (37, 64, 100, 128):
+            for shape in ((n,), (3, n), (2, 5, n)):
+                x = rng.normal(size=shape)
+                ours = getattr(spectral, name)(x, type=2)
+                assert ours.tobytes() == getattr(scipy.fft, name)(x, type=2).tobytes()
+        assert spectral._fft is scipy.fft._pocketfft
+
+
+def test_transforms_skip_scipy_fft_dispatch(pi_problem, op_pi, monkeypatch):
+    # stepping and the transforms never go through scipy.fft's dispatching
+    # dst/idst, so the solver step cannot drift back onto that path
+    import scipy.fft
+
+    def dispatched(*args, **kwargs):
+        raise AssertionError("scipy.fft.dst/idst was called")
+
+    for name in ("dst", "idst"):
+        monkeypatch.setattr(scipy.fft, name, dispatched)
+    phis = [s.constant_history(op_pi, 0.1, 50, c) for c in (1.0, 2.0)]
+    s.evolve(pi_problem, phis, 20)
+    u = s.inverse(op_pi, s.ModeVector(np.ones(op_pi.modes)))
+    s.forward(op_pi, u)
+
+
+@pytest.mark.parametrize("L", [1e-160, 1e-300, 5e-324])
+def test_short_domain_eigenvalues_overflow(L, pi_problem):
+    # the eigenvalues overflow: a ContractViolation that names the domain
+    # length, with no warning (pytest turns warnings into failures)
+    op = s.OperatorSpec(L, 8, 64)
+    for eigenvalues in (s.analytic_eigenvalues, full_discrete_eigenvalues):
+        with pytest.raises(ContractViolation, match="domain_length .* too small"):
+            eigenvalues(op)
+    problem = s.ProblemSpec(op, pi_problem.kernel, pi_problem.nonlinearity)
+    with pytest.raises(ContractViolation, match="domain_length"):
+        s.condition_report(problem, 3)
+    with pytest.raises(ContractViolation, match="domain_length"):
+        s.evolve(problem, [s.constant_history(op, 0.1, 50, 1.0)], 1)
 
 
 def test_forward_of_eigenfunction_is_unit_vector(op_headline):
