@@ -19,12 +19,10 @@ from .experiments import (ExperimentConfig, ExperimentResult, emit,
                           make_initial_history, run_attraction_rate,
                           run_coincidence, run_cone_invariance,
                           run_lipschitz_sampling)
-from .history import (HistorySegment, constant_history, norm_C, norm_L1L1,
-                      theta_weights)
-from .kernel import (KernelSpec, KernelVariant, eval_xi, l11_constant,
+from .history import HistorySegment, constant_history, theta_weights
+from .kernel import (KernelSpec, KernelVariant, l11_constant,
                      make_constant_kernel)
-from .nonlinear import (NonlinearitySpec, b_eval, b_prime, certified,
-                        delay_term, nicholson)
+from .nonlinear import NonlinearitySpec, b_eval, b_prime, certified, nicholson
 from .solver import ProblemSpec, TrajectoryRecord, evolve, steps_for_horizon
 from .spectral import (GridField, ModeVector, OperatorSpec,
                        analytic_eigenvalues, eigenfunction, field_l2_norm,
@@ -33,18 +31,15 @@ from .spectral import (GridField, ModeVector, OperatorSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapViolation", "ConditionReport", "ConfigError",
-    "ContractViolation", "ExperimentConfig", "ExperimentResult", "GridField",
-    "GridMismatch", "HistorySegment", "IntegrationFailure", "KernelSpec",
-    "KernelVariant", "ModeVector", "NonlinearitySpec", "OperatorSpec",
-    "ProblemSpec", "SynthesisResult", "TrajectoryRecord",
-    "analytic_eigenvalues", "b_eval", "b_prime", "certified",
-    "condition_report", "constant_history",
-    "delay_term", "eigenfunction", "emit", "eval_xi", "evolve",
-    "field_l2_norm", "forward",
-    "inverse", "l11_constant", "lipschitz_M1", "m1_constant",
-    "make_constant_kernel", "make_initial_history", "nicholson", "norm_C",
-    "norm_L1L1", "remark_caps", "run_attraction_rate", "run_coincidence",
-    "run_cone_invariance", "run_lipschitz_sampling", "steps_for_horizon",
-    "synthesize_params", "theta_weights",
+    "CapViolation", "ConditionReport", "ConfigError", "ContractViolation",
+    "ExperimentConfig", "ExperimentResult", "GridField", "GridMismatch",
+    "HistorySegment", "IntegrationFailure", "KernelSpec", "KernelVariant",
+    "ModeVector", "NonlinearitySpec", "OperatorSpec", "ProblemSpec",
+    "SynthesisResult", "TrajectoryRecord", "analytic_eigenvalues", "b_eval",
+    "b_prime", "certified", "condition_report", "constant_history",
+    "eigenfunction", "emit", "evolve", "field_l2_norm", "forward", "inverse",
+    "l11_constant", "lipschitz_M1", "m1_constant", "make_constant_kernel",
+    "make_initial_history", "nicholson", "remark_caps", "run_attraction_rate",
+    "run_coincidence", "run_cone_invariance", "run_lipschitz_sampling",
+    "steps_for_horizon", "synthesize_params", "theta_weights",
 ]

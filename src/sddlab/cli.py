@@ -259,6 +259,10 @@ def cmd_check(args) -> int:
     problem = build_problem(cfg)
     report = _at("conditions", condition_report, problem,
                  cfg["conditions"]["N"], cfg["conditions"]["mu"])
+    for name, val in report.values.items():  # JSON has no inf
+        if not np.isfinite(val):
+            raise ConfigError("conditions", f"{name} = {val!r} is not finite: "
+                              "the certificate overflows at these inputs")
     if args.format == "csv":
         text = csv_text({"N": report.N, **report.values, "verdict": report.verdict,
                          "note": report.note, **report.flags}.items())
@@ -276,10 +280,13 @@ def cmd_synthesize(args) -> int:
                  args.r_points)
     mxi_grid = _at("grid", search_grid, "M_xi", args.mxi_min, args.mxi_max,
                    args.mxi_points)
+    N = _at("-N", require_int, "N", args.low_modes, 1)
+    if N >= sys.float_info.max:  # lambda_N takes N as a float
+        raise ConfigError("-N", "N must be below the largest float")
     # lambda_{N+1} must not overflow, or no grid point can be certified
     L = _at("-L", require_real, "domain_length", args.domain_length)
-    _at("-L", dirichlet_eigenvalues, L, args.low_modes + 1)
-    result = synthesize_params(args.low_modes, nl, L,
+    _at("-L", dirichlet_eigenvalues, L, N + 1)
+    result = synthesize_params(N, nl, L,
                                margin=args.margin, r_grid=r_grid,
                                mxi_grid=mxi_grid)
     if args.format == "csv":

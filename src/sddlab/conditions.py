@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, require_int, require_real
-from .kernel import KernelVariant, _as_variant, l11_constant
+from .kernel import KernelVariant, l11_constant
 from .nonlinear import NonlinearitySpec
 from .solver import ProblemSpec
 from .spectral import analytic_eigenvalues
@@ -39,11 +39,10 @@ def m1_constant(r: float, L_b: float, M_xi: float, M_b: float, l11: float,
                                     + M_b * M_b * l11 * l11 * domain_length)))
 
 
-def lipschitz_M1(problem: ProblemSpec, variant=None) -> float:
-    """M1 for the problem's kernel/nonlinearity under the given variant."""
-    variant = problem.variant if variant is None else _as_variant(variant)
+def lipschitz_M1(problem: ProblemSpec) -> float:
+    """M1 for the problem's kernel/nonlinearity under its own variant."""
     nl = problem.nonlinearity
-    l11 = l11_constant(problem.kernel, variant)
+    l11 = l11_constant(problem.kernel, problem.variant)
     return m1_constant(problem.r, nl.L_b, problem.kernel.M_xi, nl.M_b, l11,
                        problem.operator.domain_length)
 
@@ -58,12 +57,13 @@ def remark_caps(lambda_N: float, lambda_N1: float, r: float, M_b: float,
     minus_top:   r M_xi / 2, the largest integral the sup cap allows
 
     with E = exp(-(lambda_N + lambda_{N+1}) r / 2).  A denominator that
-    overflows (p near the float limit) makes its cap 0.0, without a warning.
+    overflows (p near the float limit) makes its cap 0.0, and eigenvalues
+    whose sum overflows make E 0.0, both without a warning.
     """
     gap = lambda_N1 - lambda_N
-    E = np.exp(-(lambda_N + lambda_N1) * r / 2.0)
     root = np.sqrt(domain_length)
     with np.errstate(over="ignore"):
+        E = np.exp(-(lambda_N + lambda_N1) * r / 2.0)
         return {
             "E": float(E),
             "r_cap": float(gap * E / (16.0 * L_b * M_xi)),
@@ -159,7 +159,8 @@ class ConditionReport:
 def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> ConditionReport:
     """Evaluate every certificate flag for low-mode count N.
 
-    mu defaults to half the spectral gap (the largest value A4 allows).
+    mu defaults to half the spectral gap (the largest value A4 allows).  A
+    value that overflows is inf, without a warning, and fails its rows.
     """
     op = problem.operator
     if not require_int("N", N, 1) <= op.modes - 1:
@@ -185,10 +186,11 @@ def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> C
         "kind": "nicholson",
         "p": nl.p,
     }
-    values, flags = evaluate_certificate(
-        lambda_N=lam_N, lambda_N1=lam_N1, mu=mu,
-        **{key: inputs[key] for key in ("r", "M_b", "L_b", "M_xi", "l11_p",
-                                        "l11_n", "domain_length")})
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, flags = evaluate_certificate(
+            lambda_N=lam_N, lambda_N1=lam_N1, mu=mu,
+            **{key: inputs[key] for key in ("r", "M_b", "L_b", "M_xi", "l11_p",
+                                            "l11_n", "domain_length")})
     return ConditionReport(N=N, values=values, flags=flags, inputs=inputs)
 
 

@@ -300,13 +300,14 @@ def _pair_evaluator(problem: ProblemSpec):
     """The Lipschitz check of ``problem`` as a function of a (2, P, m+1, n_x)
     stack of P pairs (v1, v2) = pairs.
 
-    It returns norm_C(v1 - v2) and the columns of a checked pair: every
+    It returns the C norm of v1 - v2 and the columns of a checked pair: every
     variant's ``kernel_ratio_*`` against its l11, ``b1_ratio`` for
     ``problem.variant`` against its M1, and ``passed``.  ``sign_masses``,
     ``gates`` and ``b_eval`` run once on the 2P segments, and per-row matmuls
     take the theta dots, window products and norms, so each row has the bits
-    of the single-segment API on its own pair.  A ratio with numerator 0 is
-    0, so a pair with v1 == v2 has norm_C 0 and ratios 0; callers mask it.
+    of the serial oracles in tests/reference.py on its own pair.  A ratio
+    with numerator 0 is 0, so a pair with v1 == v2 has C norm 0 and ratios
+    0; callers mask it.
     """
     op, ks = problem.operator, problem.kernel
     tw = theta_weights(ks.r, ks.m)
@@ -320,7 +321,7 @@ def _pair_evaluator(problem: ProblemSpec):
         P = pairs.shape[1]
         both = pairs.reshape(2 * P, *pairs.shape[2:])
         s_plus, s_minus = gates(tw, sign_masses(both, op.h_x))[..., None]
-        # norm_C and norm_L1L1 of v1 - v2, per pair; the difference is freed
+        # the C and L1L1 norms of v1 - v2, per pair; the difference is freed
         # before the b_eval temporaries, which set the peak memory
         delta = pairs[0] - pairs[1]
         dC = _snapshot_l2(delta, op.h_x).max(axis=-1)
@@ -387,8 +388,8 @@ def run_lipschitz_sampling(problem: ProblemSpec,
     gate regimes).  Zero-difference pairs are skipped.  Pairs are drawn
     (``_draw_pairs``) and evaluated (``_pair_evaluator``) PAIR_CHUNK at a time,
     in one buffer that every chunk reuses; each row has the bits of its pair
-    evaluated alone with the single-segment API, so the rows do not depend
-    on PAIR_CHUNK.
+    evaluated alone by the serial oracles in tests/reference.py, so the rows
+    do not depend on PAIR_CHUNK.
     """
     chunk = min(PAIR_CHUNK, cfg.trials)
     # one buffer for every chunk: with fresh stacks per chunk, glibc trimmed

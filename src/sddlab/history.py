@@ -1,4 +1,4 @@
-"""History segments over the delay window [-r, 0] and their norms.
+"""History segments over the delay window [-r, 0] and their quadratures.
 
 A segment stores m+1 snapshots on the uniform theta grid
 theta_j = -r + j h_theta, h_theta = r/m; row j = m is the current state.
@@ -53,9 +53,6 @@ class HistorySegment:
                 f"{self.operator.grid_points}")
         object.__setattr__(self, "values", arr)
 
-    def current(self) -> GridField:
-        return GridField(self.values[self.m])
-
 
 def constant_history(operator: OperatorSpec, r: float, m: int,
                      value) -> HistorySegment:
@@ -84,18 +81,3 @@ def _theta_dot(tw: np.ndarray, rows: np.ndarray) -> np.ndarray:
     matmuls, which have the bits of np.dot: a stack of windows gets the bits
     of one window."""
     return np.matmul(rows[..., None, :], tw)[..., 0]
-
-
-def norm_L1L1(v: HistorySegment) -> float:
-    """Iterated norm int_{-r}^0 int_Omega |v(theta, x)| dx dtheta.
-
-    Trapezoid in theta over midpoint x-integrals; exact for fields constant
-    in (theta, x): result r * L * |c|.
-    """
-    return float(np.dot(theta_weights(v.r, v.m),
-                        _snapshot_l1(v.values, v.operator.h_x)))
-
-
-def norm_C(v: HistorySegment) -> float:
-    """Sup over theta nodes of the spatial L2 norm (the C([-r,0]; L2) norm)."""
-    return float(np.max(_snapshot_l2(v.values, v.operator.h_x)))

@@ -17,9 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (CapViolation, ContractViolation, GridMismatch, frozen,
-                     require_int, require_real)
-from .history import HistorySegment, _theta_dot, theta_weights
+from .errors import (CapViolation, ContractViolation, frozen, require_int,
+                     require_real)
+from .history import _theta_dot, theta_weights
 
 
 class KernelVariant(str, Enum):
@@ -102,8 +102,9 @@ def sign_masses(values: np.ndarray, h_x: float) -> np.ndarray:
     """Per-snapshot masses int v_plus dx and int (-v_minus) dx along the last
     axis, stacked on a new first axis of length 2.
 
-    These expressions fix the bits of the solver's gates, so eval_xi, the
-    solver's rolling caches and the Lipschitz sampler all call this function.
+    These expressions fix the bits of the solver's gates, so the solver's
+    rolling caches, the Lipschitz sampler and the serial ``eval_xi`` oracle
+    in tests/reference.py all call this function.
     """
     return h_x * np.array([np.maximum(values, 0.0).sum(axis=-1),
                            (-np.minimum(values, 0.0)).sum(axis=-1)])
@@ -119,24 +120,13 @@ def gates(tw: np.ndarray, masses: np.ndarray) -> np.ndarray:
 def combine_profiles(spec: KernelSpec, s_plus, s_minus,
                      variant: KernelVariant) -> np.ndarray:
     """xi(theta_j) for given gate values (scalars, or (B, 1) stacks giving
-    (B, m+1)); eval_xi, the solver's forcing and the Lipschitz sampler call it."""
+    (B, m+1)); the solver's forcing, the Lipschitz sampler and the serial
+    ``eval_xi`` oracle in tests/reference.py call it."""
     if variant is KernelVariant.P:
         return spec.xi_plus * s_plus
     if variant is KernelVariant.N:
         return spec.xi_minus * s_minus
     return spec.xi_plus * s_plus + spec.xi_minus * s_minus
-
-
-def eval_xi(spec: KernelSpec, v: HistorySegment, variant=KernelVariant.FULL) -> np.ndarray:
-    """Kernel values on the theta grid for the state v."""
-    variant = _as_variant(variant)
-    if v.m != spec.m or v.r != spec.r:
-        raise GridMismatch(
-            f"history window (r={v.r}, m={v.m}) does not match kernel "
-            f"(r={spec.r}, m={spec.m})")
-    return combine_profiles(
-        spec, *gates(theta_weights(spec.r, spec.m),
-                     sign_masses(v.values, v.operator.h_x)), variant)
 
 
 def l11_constant(spec: KernelSpec, variant=KernelVariant.FULL) -> float:

@@ -1,4 +1,4 @@
-"""The bounded birth-rate nonlinearity and the distributed delay term.
+"""The bounded birth-rate nonlinearity.
 
 The nonlinearity is the Nicholson-type law b(w) = p w^2 exp(-|w|), which is
 bounded with bounded derivative.  A NonlinearitySpec takes only p and computes
@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, require_real
-from .history import HistorySegment, theta_weights
-from .kernel import KernelSpec, KernelVariant, eval_xi
-from .spectral import GridField
 
 _SEARCH_HI = 20.0
 _GRID_POINTS = 20001
@@ -99,11 +96,3 @@ def _grid_refine_max(f) -> float:
 def certified(spec: NonlinearitySpec) -> NonlinearitySpec:
     """The spec itself: every NonlinearitySpec carries its constants."""
     return spec
-
-
-def delay_term(nl: NonlinearitySpec, ks: KernelSpec, v: HistorySegment,
-               variant=KernelVariant.FULL) -> GridField:
-    """The forcing field x -> int_{-r}^0 b(v(theta, x)) xi(theta, v) dtheta."""
-    xi = eval_xi(ks, v, variant)
-    w = theta_weights(ks.r, ks.m) * xi
-    return GridField(w @ b_eval(nl, v.values))

@@ -114,8 +114,9 @@ class _Engine:
     def forcing(self) -> np.ndarray:
         """Write the (B, n_x) delay forcing of the current windows into row 1
         of the buffer and return it.  Each row is a (1, m+1) @ (m+1, n_x)
-        matmul, the product ``delay_term`` takes, with the xi of its own
-        variant: one ``combine_profiles`` call per group."""
+        matmul, the product the serial ``delay_term`` oracle in
+        tests/reference.py takes, with the xi of its own variant: one
+        ``combine_profiles`` call per group."""
         win = slice(self.head, self.head + self.problem.m + 1)
         s_plus, s_minus = gates(self.tw, self.masses[..., win])[..., None]
         if len(self.groups) == 1:

@@ -289,6 +289,35 @@ def test_synthesize_rejects_domain_length(L, capsys):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv, code, key", [
+    # the eigenvalues fit a float, delta_p = (2/mu) M1 exp((lambda_N + mu) r)
+    # does not
+    (["check", "short.json"], 2, "conditions"),
+    # with r = 1e-290 too, (2/mu) M1 underflows to 0 and delta_p is 0 * inf
+    (["check", "short_r.json"], 2, "conditions"),
+    # (lambda_N + lambda_N1) r overflows, so E is 0: infeasible, exit 1
+    (["synthesize", "-N", "1", "-L", "1e-153"], 1, None),
+    # N past the float range
+    (["synthesize", "-N", str(10**400), "-L", "100"], 2, "-N"),
+], ids=["check-short-domain", "check-short-domain-and-r", "synthesize-tiny-L",
+      "synthesize-huge-N"])
+def test_extreme_inputs_exit_quietly(argv, code, key, tmp_path, capsys):
+    cfg = pi_dict()
+    cfg["operator"]["domain_length"] = 1e-120
+    write_cfg(tmp_path, cfg, "short.json")
+    cfg["operator"]["domain_length"] = 3e-150
+    cfg["kernel"].update(r=1e-290, plus_integral=0.0, minus_integral=0.0)
+    write_cfg(tmp_path, cfg, "short_r.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "Warning" not in err and "Traceback" not in err
+    if key is None:
+        assert err == "" and json.loads(out)["feasible"] is False
+    else:
+        assert err.startswith(f"config error at {key}:")
+
+
 def test_synthesize_bad_grid(capsys):
     assert main(["synthesize", "-N", "1", "-L", "100.0",
                  "--r-min", "2.0", "--r-max", "1.0"]) == 2

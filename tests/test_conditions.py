@@ -46,16 +46,16 @@ def test_m1_constant_frozen():
 
 
 def test_lipschitz_M1_variants(headline_problem):
-    assert s.lipschitz_M1(headline_problem, "p") == pytest.approx(M1_P, rel=1e-9)
-    assert s.lipschitz_M1(headline_problem, "n") == pytest.approx(M1_FULL,
-                                                                  rel=1e-9)
-    assert s.lipschitz_M1(headline_problem, "full") == pytest.approx(M1_FULL,
-                                                                     rel=1e-9)
-    # default variant is the problem's own (full here)
-    assert s.lipschitz_M1(headline_problem) == s.lipschitz_M1(headline_problem,
-                                                              "full")
-    assert s.lipschitz_M1(headline_problem, "p") < s.lipschitz_M1(
-        headline_problem, "full")
+    def m1(variant):
+        return s.lipschitz_M1(dataclasses.replace(headline_problem,
+                                                  variant=variant))
+
+    assert m1("p") == pytest.approx(M1_P, rel=1e-9)
+    assert m1("n") == pytest.approx(M1_FULL, rel=1e-9)
+    assert m1("full") == pytest.approx(M1_FULL, rel=1e-9)
+    # the problem's own variant (full here)
+    assert s.lipschitz_M1(headline_problem) == m1("full")
+    assert m1("p") < m1("full")
 
 
 # case -> (lambda_N, lambda_N1, mu, M1, rs, expected at every r in rs); an

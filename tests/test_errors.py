@@ -84,8 +84,3 @@ def test_contract_table(fn_name, arg):
     call(arg, at)
     if arg in NULLABLE:
         call(arg, None)
-
-
-def test_lipschitz_M1_rejects_unknown_variant():
-    with pytest.raises(ContractViolation, match="unknown kernel variant"):
-        s.lipschitz_M1(PROBLEM, "q")

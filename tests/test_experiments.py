@@ -11,6 +11,8 @@ import sddlab as s
 from sddlab.errors import ContractViolation
 from sddlab.spectral import full_discrete_eigenvalues
 
+from reference import delay_term, eval_xi, norm_C, norm_L1L1
+
 
 @pytest.fixture()
 def small_cfg():
@@ -233,7 +235,7 @@ def test_coincidence_failure_step_of_two_runs(pi_problem, monkeypatch,
 
 
 def reference_lipschitz_row(problem, cfg, i):
-    """One pair's ratios from the public single-segment functions."""
+    """One pair's ratios from the serial reference functions."""
     op, ks, nl = problem.operator, problem.kernel, problem.nonlinearity
     rng = np.random.default_rng(cfg.seed + i)
 
@@ -256,15 +258,15 @@ def reference_lipschitz_row(problem, cfg, i):
     tw = s.theta_weights(problem.r, problem.m)
     row = {}
     for var in s.KernelVariant:
-        num = float(np.dot(tw, np.abs(s.eval_xi(ks, v1, var)
-                                      - s.eval_xi(ks, v2, var))))
+        num = float(np.dot(tw, np.abs(eval_xi(ks, v1, var)
+                                      - eval_xi(ks, v2, var))))
         row[f"kernel_ratio_{var.value}"] = 0.0 if num == 0.0 else \
-            num / (s.l11_constant(ks, var) * s.norm_L1L1(delta))
-    dB = (s.delay_term(nl, ks, v1, problem.variant).values
-          - s.delay_term(nl, ks, v2, problem.variant).values)
+            num / (s.l11_constant(ks, var) * norm_L1L1(delta))
+    dB = (delay_term(nl, ks, v1, problem.variant).values
+          - delay_term(nl, ks, v2, problem.variant).values)
     num = s.field_l2_norm(op, s.GridField(dB))
     row["b1_ratio"] = 0.0 if num == 0.0 else \
-        num / (s.lipschitz_M1(problem, problem.variant) * s.norm_C(delta))
+        num / (s.lipschitz_M1(problem) * norm_C(delta))
     return row
 
 

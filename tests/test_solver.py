@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import sddlab as s
 from sddlab.errors import ContractViolation, GridMismatch, IntegrationFailure
@@ -14,7 +13,7 @@ from sddlab.kernel import gates, sign_masses
 from sddlab.solver import _Engine
 from sddlab.spectral import full_discrete_eigenvalues
 
-from conftest import random_history
+from reference import delay_term, reference_states
 
 
 def zero_kernel(r, m, M_xi=1e-3):
@@ -109,28 +108,9 @@ def test_engine_forcing_is_delay_term_bitwise(pi_problem, op_pi):
             for i, rows in enumerate(windows):
                 window = s.HistorySegment(op_pi, ks.r, ks.m, rows)
                 assert np.array_equal(
-                    forcing[i], s.delay_term(nl, ks, window, variant).values)
+                    forcing[i], delay_term(nl, ks, window, variant).values)
             u = eng.advance()
             windows = np.concatenate([windows[:, 1:], u[:, None]], axis=1)
-
-
-def reference_states(problem, phis, variants, steps):
-    """(steps + 1, B, n_x) states of a plain serial stepper: delay_term on
-    each row's window, scipy.fft.dst of [u, F], scipy.fft.idst of
-    E a + G f."""
-    op, ks, nl = problem.operator, problem.kernel, problem.nonlinearity
-    lam = full_discrete_eigenvalues(op)
-    E, G = np.exp(-lam * problem.h), -np.expm1(-lam * problem.h) / lam
-    windows = [phi.values for phi in phis]
-    states = [[w[-1] for w in windows]]
-    for _ in range(steps):
-        for i, variant in enumerate(variants):
-            F = s.delay_term(nl, ks, s.HistorySegment(op, ks.r, ks.m, windows[i]),
-                             variant).values
-            a, f = scipy.fft.dst(np.array([windows[i][-1], F]), type=2)
-            windows[i] = np.vstack([windows[i][1:], scipy.fft.idst(E * a + G * f, type=2)])
-        states.append([w[-1] for w in windows])
-    return np.array(states)
 
 
 @pytest.mark.parametrize("grid_points", [64, 100])
@@ -384,7 +364,7 @@ def test_dissipativity_zero_kernel_decays(op_pi, nl):
     full_norm = s.field_l2_norm(op_pi, s.GridField(rec.fields))
     peak = full_norm[rec.times >= 5.0 - 1e-12].max()  # over [T/2, T]
     lam1 = full_discrete_eigenvalues(op_pi)[0]
-    start = s.field_l2_norm(op_pi, phi.current())
+    start = s.field_l2_norm(op_pi, s.GridField(phi.values[-1]))
     assert peak <= start * float(np.exp(-lam1 * 5.0)) * (1 + 1e-9)
 
 
@@ -414,7 +394,7 @@ def test_dissipativity_pi_domain_reaches_radius(pi_problem, op_pi, nl):
     peak = full_norm[rec.times >= 12.5 - 1e-12].max()  # over [T/2, T]
     lam1 = full_discrete_eigenvalues(op_pi)[0]
     radius = nl.M_b * ks.M_xi * ks.r * np.sqrt(op_pi.domain_length) / lam1
-    transient = float(np.exp(-lam1 * 12.5)) * s.field_l2_norm(op_pi, phi.current())
+    transient = float(np.exp(-lam1 * 12.5)) * s.field_l2_norm(op_pi, s.GridField(phi.values[-1]))
     assert peak <= (radius + transient) * 1.01
 
 
