@@ -283,9 +283,13 @@ def cmd_synthesize(args) -> int:
     N = _at("-N", require_int, "N", args.low_modes, 1)
     if N >= sys.float_info.max:  # lambda_N takes N as a float
         raise ConfigError("-N", "N must be below the largest float")
-    # lambda_{N+1} must not overflow, or no grid point can be certified
     L = _at("-L", require_real, "domain_length", args.domain_length)
-    _at("-L", dirichlet_eigenvalues, L, N + 1)
+    _at("-L", dirichlet_eigenvalues, L, 1)
+    # lambda_{N+1} must not overflow, or no grid point can be certified
+    try:
+        dirichlet_eigenvalues(L, N + 1)
+    except ContractViolation:
+        raise ConfigError("-N", f"lambda_(N+1) overflows for L = {L!r}") from None
     result = synthesize_params(N, nl, L,
                                margin=args.margin, r_grid=r_grid,
                                mxi_grid=mxi_grid)

@@ -49,7 +49,8 @@ def lipschitz_M1(problem: ProblemSpec) -> float:
 
 def remark_caps(lambda_N: float, lambda_N1: float, r: float, M_b: float,
                 L_b: float, M_xi: float, domain_length: float) -> dict:
-    """Sufficient per-parameter caps that together imply bound3 for variant p.
+    """Sufficient per-parameter caps that together imply bound3 for variant p;
+    ``r`` and ``M_xi`` may be arrays, and every cap broadcasts over them.
 
     r_cap:       r <= gap E / (16 L_b M_xi)
     plus_cap:    int|xi_plus| <= gap E / (16 r M_b sqrt(L))
@@ -65,11 +66,11 @@ def remark_caps(lambda_N: float, lambda_N1: float, r: float, M_b: float,
     with np.errstate(over="ignore"):
         E = np.exp(-(lambda_N + lambda_N1) * r / 2.0)
         return {
-            "E": float(E),
-            "r_cap": float(gap * E / (16.0 * L_b * M_xi)),
-            "plus_cap": float(gap * E / (16.0 * r * M_b * root)),
-            "minus_floor": float(gap * E / (8.0 * r * M_b * root)),
-            "minus_top": float(r * M_xi / 2.0),
+            "E": E,
+            "r_cap": gap * E / (16.0 * L_b * M_xi),
+            "plus_cap": gap * E / (16.0 * r * M_b * root),
+            "minus_floor": gap * E / (8.0 * r * M_b * root),
+            "minus_top": r * M_xi / 2.0,
         }
 
 
@@ -103,6 +104,7 @@ def evaluate_certificate(*, lambda_N: float, lambda_N1: float, r: float,
         return m1_constant(r, L_b, M_xi, M_b, l11, domain_length)
 
     gap = lambda_N1 - lambda_N
+    caps = remark_caps(lambda_N, lambda_N1, r, M_b, L_b, M_xi, domain_length)
     M1_p = m1(l11_p)
     values = {
         "lambda_N": lambda_N,
@@ -112,11 +114,10 @@ def evaluate_certificate(*, lambda_N: float, lambda_N1: float, r: float,
         "M1_p": M1_p,
         "M1_n": m1(l11_n),
         "delta_p": (2.0 / mu) * M1_p * np.exp((lambda_N + mu) * r),
-        "bound3": (gap / 8.0) * np.exp(-(lambda_N + lambda_N1) * r / 2.0),
+        "bound3": (gap / 8.0) * caps["E"],
     }
     values = {name: float(val) for name, val in values.items()}
-    q = {**values, "gap": gap, "r": r, "l11_p": l11_p, "l11_n": l11_n,
-         **remark_caps(lambda_N, lambda_N1, r, M_b, L_b, M_xi, domain_length)}
+    q = {**values, "gap": gap, "r": r, "l11_p": l11_p, "l11_n": l11_n, **caps}
     flags = {flag: all(lhs < rhs if strict else lhs <= rhs
                        for lhs, rhs, strict in rows(q))
              for flag, rows in FLAGS}
@@ -217,8 +218,9 @@ class SynthesisResult:
 
 
 # synthesis search grid -> (lo, hi, points): by default it is points values
-# log-spaced on [lo, hi]
+# log-spaced on [lo, hi]; no grid may have more than MAX_GRID_POINTS values
 GRIDS = {"r": (1e-3, 10.0, 60), "M_xi": (1e-6, 10.0, 120)}
+MAX_GRID_POINTS = 10**6
 
 
 def search_grid(name: str, lo=None, hi=None, points=None) -> np.ndarray:
@@ -226,8 +228,9 @@ def search_grid(name: str, lo=None, hi=None, points=None) -> np.ndarray:
     takes its GRIDS default."""
     lo, hi, points = (default if val is None else val
                       for val, default in zip((lo, hi, points), GRIDS[name]))
-    if not (lo > 0.0 and hi > lo and points >= 1):
-        raise ContractViolation("need 0 < min < max and points >= 1")
+    if not (lo > 0.0 and hi > lo and 1 <= points <= MAX_GRID_POINTS):
+        raise ContractViolation("need 0 < min < max and 1 <= points <= "
+                                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
@@ -256,8 +259,7 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
         lam_N1 = ((N + 1) * np.pi / L) ** 2
     except OverflowError:  # inf, as when N pi / L itself overflows: infeasible
         lam_N = lam_N1 = math.inf
-    gap = lam_N1 - lam_N
-    mu = gap / 2.0
+    mu = (lam_N1 - lam_N) / 2.0
     M_b, L_b = nonlinearity.M_b, nonlinearity.L_b
     # the minus window (minus_floor, r M_xi / 2] is nonempty only for r above this
     r_threshold = 4.0 * L_b / (M_b * np.sqrt(L))
@@ -267,23 +269,21 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
     n_flag_reject = 0
 
     for r in r_grid:
-        for M_xi in mxi_grid:
-            caps = remark_caps(lam_N, lam_N1, r, M_b, L_b, M_xi, L)
-            if r > caps["r_cap"]:
-                n_r_cap_reject += 1
-                continue
-            hi = caps["minus_top"]
-            if caps["minus_floor"] >= hi:
-                n_window_empty += 1
-                continue
-            ip = (1.0 - margin) * min(caps["plus_cap"], hi)
-            im = (1.0 - margin) * hi
-            if im <= caps["minus_floor"]:
-                im = 0.5 * (caps["minus_floor"] + hi)
+        # a row at a time: count its cap rejections, certify the rest in order
+        caps = remark_caps(lam_N, lam_N1, r, M_b, L_b, mxi_grid, L)
+        hi, floor = caps["minus_top"], caps["minus_floor"]
+        r_capped = r > caps["r_cap"]
+        empty = ~r_capped & (floor >= hi)
+        n_r_cap_reject += int(r_capped.sum())
+        n_window_empty += int(empty.sum())
+        ip = (1.0 - margin) * np.minimum(caps["plus_cap"], hi)
+        im = (1.0 - margin) * hi
+        im = np.where(im <= floor, 0.5 * (floor + hi), im)
+        for j in np.flatnonzero(~(r_capped | empty)):
             values, flags = evaluate_certificate(
                 lambda_N=lam_N, lambda_N1=lam_N1, r=float(r), mu=mu,
-                M_b=M_b, L_b=L_b, M_xi=float(M_xi),
-                l11_p=ip, l11_n=im, domain_length=L)
+                M_b=M_b, L_b=L_b, M_xi=float(mxi_grid[j]),
+                l11_p=ip[j], l11_n=im[j], domain_length=L)
             if flags != PIM_ONLY:
                 n_flag_reject += 1
                 continue
@@ -292,9 +292,9 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                     "N": N,
                     "domain_length": L,
                     "r": float(r),
-                    "M_xi": float(M_xi),
-                    "plus_integral": float(ip),
-                    "minus_integral": float(im),
+                    "M_xi": float(mxi_grid[j]),
+                    "plus_integral": float(ip[j]),
+                    "minus_integral": float(im[j]),
                     "margin": margin,
                 },
                 certificate={**values, **flags}, search=search)
@@ -325,11 +325,10 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
             "rejections": rejections,
         }
     else:
-        # every grid point died on a structural cap; quantify the squeeze:
-        # for r above the threshold the r-cap bounds M_xi by gap*E/(16 L_b r)
-        caps_above = (gap * np.exp(-(lam_N + lam_N1) * rs_above / 2.0)
-                      / (16.0 * L_b * rs_above))
-        mxi_cap = float(caps_above.max())
+        # every grid point died on a structural cap; quantify the squeeze: for
+        # r above the threshold the r-cap, symmetric in r and M_xi, bounds M_xi
+        mxi_cap = float(remark_caps(lam_N, lam_N1, rs_above, M_b, L_b,
+                                    rs_above, L)["r_cap"].max())
         certificate = {
             "binding_constraint": "xi_minus_window_empty",
             "r_threshold": float(r_threshold),

@@ -99,6 +99,7 @@ class _Engine:
         self.buf = np.empty((2, len(phis), op.grid_points))
         self.u = self.buf[0]
         self.u[...] = values[:, -1]
+        self.xi = np.empty((len(phis), problem.m + 1))
         # overflow in b on absurd data surfaces as IntegrationFailure later
         with np.errstate(over="ignore", invalid="ignore"):
             b_rows = b_eval(problem.nonlinearity, values)
@@ -119,16 +120,11 @@ class _Engine:
         ``combine_profiles`` call per group."""
         win = slice(self.head, self.head + self.problem.m + 1)
         s_plus, s_minus = gates(self.tw, self.masses[..., win])[..., None]
-        if len(self.groups) == 1:
-            xi = combine_profiles(self.problem.kernel, s_plus, s_minus,
-                                  self.groups[0][0])
-        else:
-            xi = np.empty((len(self.u), self.problem.m + 1))
-            for variant, rows in self.groups:
-                xi[rows] = combine_profiles(self.problem.kernel, s_plus[rows],
-                                            s_minus[rows], variant)
+        for variant, rows in self.groups:
+            self.xi[rows] = combine_profiles(self.problem.kernel, s_plus[rows],
+                                             s_minus[rows], variant)
         f = self.buf[1]
-        np.matmul((self.tw * xi)[:, None, :], self.b_rows[:, win],
+        np.matmul((self.tw * self.xi)[:, None, :], self.b_rows[:, win],
                   out=f[:, None, :])
         return f
 

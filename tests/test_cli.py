@@ -299,8 +299,13 @@ def test_synthesize_rejects_domain_length(L, capsys):
     (["synthesize", "-N", "1", "-L", "1e-153"], 1, None),
     # N past the float range
     (["synthesize", "-N", str(10**400), "-L", "100"], 2, "-N"),
+    # lambda_1 fits a float, lambda_{N+1} does not: N is to blame
+    (["synthesize", "-N", str(10**300), "-L", "100"], 2, "-N"),
+    # lambda_1 overflows already: L is to blame, whatever N is
+    (["synthesize", "-N", str(10**300), "-L", "1e-160"], 2, "-L"),
 ], ids=["check-short-domain", "check-short-domain-and-r", "synthesize-tiny-L",
-      "synthesize-huge-N"])
+      "synthesize-huge-N", "synthesize-N-overflows-lambda",
+      "synthesize-L-overflows-lambda"])
 def test_extreme_inputs_exit_quietly(argv, code, key, tmp_path, capsys):
     cfg = pi_dict()
     cfg["operator"]["domain_length"] = 1e-120
@@ -322,6 +327,15 @@ def test_synthesize_bad_grid(capsys):
     assert main(["synthesize", "-N", "1", "-L", "100.0",
                  "--r-min", "2.0", "--r-max", "1.0"]) == 2
     assert "grid: need 0 < min < max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--r-points", "--mxi-points"])
+def test_synthesize_huge_grid_exits_before_allocating(flag, capsys):
+    # 10^11 points would ask for ~745 GiB
+    assert main(["synthesize", "-N", "1", "-L", "100", flag, "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at grid: need 0 < min < max")
+    assert "MAX_GRID_POINTS" in err
 
 
 def simulate_dict():

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import sddlab as s
+import sddlab.conditions
+from reference import reference_synthesize
 from sddlab.cli import main
-from sddlab.conditions import FLAGS, evaluate_certificate, search_grid
+from sddlab.conditions import (FLAGS, MAX_GRID_POINTS, evaluate_certificate,
+                               search_grid)
 from sddlab.errors import ContractViolation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -250,9 +253,69 @@ def test_search_grid_defaults():
     # a partial override keeps the other defaults of its own grid
     assert search_grid("M_xi", points=120)[0] == 1e-6
     assert search_grid("M_xi", hi=10.0).size == 120
-    for bad in ({"lo": 0.0}, {"lo": 20.0}, {"points": 0}):
+    for bad in ({"lo": 0.0}, {"lo": 20.0}, {"points": 0},
+                {"points": MAX_GRID_POINTS + 1}):
         with pytest.raises(ContractViolation):
             search_grid("r", **bad)
+
+
+def test_search_grid_takes_max_grid_points():
+    assert search_grid("M_xi", points=MAX_GRID_POINTS).size == MAX_GRID_POINTS
+
+
+def test_remark_caps_broadcast_bitwise():
+    """Caps of a grid row (an M_xi array) and of the squeeze (r = M_xi =
+    an array) have the bits of one scalar call per element."""
+    lam = ((np.pi / 100.0) ** 2, (2 * np.pi / 100.0) ** 2)
+    args = (0.54134113294645077, 0.46115879200720347)
+    grid = search_grid("M_xi")
+    for r in (0.5, grid):
+        row = s.remark_caps(*lam, r, *args, grid, 100.0)
+        for key, val in row.items():
+            want = [s.remark_caps(*lam, np.broadcast_to(r, grid.shape)[j],
+                                  *args, M_xi, 100.0)[key]
+                    for j, M_xi in enumerate(grid)]
+            got = np.broadcast_to(val, grid.shape)
+            assert got.tobytes() == np.array(want).tobytes(), key
+
+
+@pytest.fixture(scope="module")
+def nls():
+    return {p: s.nicholson(p) for p in (0.3, 1.0, 2.5)}
+
+
+SWEEP = [(N, L, p, 0.1, None) for N in (1, 2, 3, 5)
+         for L in (float(np.pi), 10.0, 100.0, 1000.0) for p in (0.3, 1.0, 2.5)]
+# both README examples, which SWEEP holds at the default margin
+SWEEP += [(N, L, 1.0, margin, None) for N, L in ((1, 100.0), (3, float(np.pi)))
+          for margin in (0.0, 0.5)]
+SWEEP += [(3, float(np.pi), 1.0, 0.1, [0.1, 1.0]),  # r grid below threshold
+          (1, 1e-160, 1.0, 0.1, None)]  # eigenvalues overflow
+
+
+@pytest.mark.parametrize("N, L, p, margin, r_grid", SWEEP)
+def test_synthesize_matches_cellwise_oracle(N, L, p, margin, r_grid, nls):
+    got = s.synthesize_params(N, nls[p], L, margin=margin, r_grid=r_grid)
+    want = reference_synthesize(N, nls[p], L, margin=margin, r_grid=r_grid)
+    assert repr(got.to_dict()) == repr(want.to_dict())
+
+
+def test_synthesize_caps_one_call_per_row(nl, monkeypatch):
+    calls = []
+    caps = sddlab.conditions.remark_caps
+
+    def counted(*args):
+        calls.append(args)
+        return caps(*args)
+
+    def never(**kwargs):
+        raise AssertionError("no cell passes the structural caps")
+
+    monkeypatch.setattr(sddlab.conditions, "remark_caps", counted)
+    monkeypatch.setattr(sddlab.conditions, "evaluate_certificate", never)
+    res = s.synthesize_params(3, nl, float(np.pi))
+    assert res.certificate["binding_constraint"] == "xi_minus_window_empty"
+    assert len(calls) <= 60 + 1
 
 
 def test_synthesize_margin_zero_still_feasible(nl):
