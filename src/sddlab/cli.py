@@ -252,6 +252,14 @@ def _write_or_print(text: str, output) -> None:
             fh.write(text)
 
 
+def _require_finite(where: str, values: dict) -> None:
+    """A certificate value JSON cannot hold (inf, NaN) is a config error."""
+    for name, val in values.items():
+        if isinstance(val, float) and not np.isfinite(val):
+            raise ConfigError(where, f"{name} = {val!r} is not finite: "
+                              "the certificate overflows at these inputs")
+
+
 def cmd_check(args) -> int:
     cfg = load_config(args.config, {"conditions": {"N": args.N, "mu": args.mu}})
     if cfg["conditions"] is None:
@@ -259,10 +267,7 @@ def cmd_check(args) -> int:
     problem = build_problem(cfg)
     report = _at("conditions", condition_report, problem,
                  cfg["conditions"]["N"], cfg["conditions"]["mu"])
-    for name, val in report.values.items():  # JSON has no inf
-        if not np.isfinite(val):
-            raise ConfigError("conditions", f"{name} = {val!r} is not finite: "
-                              "the certificate overflows at these inputs")
+    _require_finite("conditions", report.values)
     if args.format == "csv":
         text = csv_text({"N": report.N, **report.values, "verdict": report.verdict,
                          "note": report.note, **report.flags}.items())
@@ -293,6 +298,7 @@ def cmd_synthesize(args) -> int:
     result = synthesize_params(N, nl, L,
                                margin=args.margin, r_grid=r_grid,
                                mxi_grid=mxi_grid)
+    _require_finite("-L", result.certificate)
     if args.format == "csv":
         flat = {"feasible": result.feasible}
         for src in (result.params or {}), result.certificate:

@@ -58,12 +58,12 @@ def remark_caps(lambda_N: float, lambda_N1: float, r: float, M_b: float,
     minus_top:   r M_xi / 2, the largest integral the sup cap allows
 
     with E = exp(-(lambda_N + lambda_{N+1}) r / 2).  A denominator that
-    overflows (p near the float limit) makes its cap 0.0, and eigenvalues
-    whose sum overflows make E 0.0, both without a warning.
+    overflows (p near the float limit) or underflows makes its cap 0.0 or
+    inf/NaN, and an eigenvalue sum that overflows makes E 0.0, all quietly.
     """
     gap = lambda_N1 - lambda_N
     root = np.sqrt(domain_length)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         E = np.exp(-(lambda_N + lambda_N1) * r / 2.0)
         return {
             "E": E,
@@ -170,8 +170,6 @@ def condition_report(problem: ProblemSpec, N: int, mu: float | None = None) -> C
     lam_N, lam_N1 = float(lam[N - 1]), float(lam[N])
     gap = lam_N1 - lam_N
     mu = gap / 2.0 if mu is None else require_real("mu", mu)
-    if not mu <= gap / 2.0:
-        raise ContractViolation("mu must lie in (0, gap/2]")
 
     nl, ks = problem.nonlinearity, problem.kernel
     inputs = {
@@ -262,7 +260,8 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
     mu = (lam_N1 - lam_N) / 2.0
     M_b, L_b = nonlinearity.M_b, nonlinearity.L_b
     # the minus window (minus_floor, r M_xi / 2] is nonempty only for r above this
-    r_threshold = 4.0 * L_b / (M_b * np.sqrt(L))
+    with np.errstate(over="ignore", divide="ignore"):
+        r_threshold = 4.0 * L_b / (M_b * np.sqrt(L))
 
     n_r_cap_reject = 0
     n_window_empty = 0

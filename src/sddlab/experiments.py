@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
@@ -35,7 +35,7 @@ FAMILIES = ("random_positive_fourier", "random_signed_fourier",
             "gaussian_bumps", "constant")
 POSITIVE_FAMILIES = ("random_positive_fourier", "gaussian_bumps", "constant")
 
-BATCH_ROWS = 64  # histories stepped together; bounds memory, results do not depend on it
+BATCH_ROWS = 64  # rows per evolve call; bounds memory, results do not depend on it
 # Lipschitz pairs drawn and evaluated together; results do not depend on it.
 # Measured on headline: 3 or 4 pairs are a little faster than 2, but each
 # pair adds 3 segments (52 KB each) to the buffer and 2 to every temporary
@@ -203,27 +203,32 @@ def cone_sign(family: str, cone: str) -> float:
     return 1.0 if cone == "positive" else -1.0
 
 
-def _evolve_batched(problem: ProblemSpec, phis: Iterable[HistorySegment],
-                    steps: int, **kwargs) -> Iterator:
-    """``evolve`` over the histories BATCH_ROWS at a time; yields one record
-    per history, in order, so a failure surfaces in the order of a loop."""
-    it = iter(phis)
-    while batch := list(islice(it, BATCH_ROWS)):
-        yield from evolve(problem, batch, steps, **kwargs)
+def _evolve_batched(problem: ProblemSpec, cfg: ExperimentConfig,
+                    data: Iterable[tuple], variants: tuple,
+                    record_fields: bool = False) -> Iterator[list]:
+    """``evolve`` over ``data``, tuples of histories whose position j steps
+    under ``variants[j]``, to the horizon and at the stride of ``cfg``: one
+    call per BATCH_ROWS rows of data (at least one datum), laid out as
+    [position 0 of every datum, then position 1, ...].  Yields each datum's
+    records in order; a failure is the one that stepping a batch one
+    position at a time would raise first."""
+    steps = steps_for_horizon(problem.kernel, cfg.horizon)
+    it = iter(data)
+    while batch := list(islice(it, max(1, BATCH_ROWS // len(variants)))):
+        recs = evolve(problem, [phi for column in zip(*batch) for phi in column],
+                      steps, stride=cfg.stride, record_fields=record_fields,
+                      variants=[var for var in variants for _ in batch])
+        yield from (recs[i::len(batch)] for i in range(len(batch)))
 
 
 def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
                         cone: str = "positive") -> ExperimentResult:
     """Evolve cone members and record the worst signed excursion per trial."""
     sign = cone_sign(cfg.family, cone)
-    phis = (_draw(problem, cfg, np.random.default_rng(cfg.seed + i), sign)
+    data = ((_draw(problem, cfg, np.random.default_rng(cfg.seed + i), sign),)
             for i in range(cfg.trials))
-    recs = _evolve_batched(problem, phis,
-                           steps_for_horizon(problem.kernel, cfg.horizon),
-                           stride=cfg.stride)
-
     rows = []
-    for i, rec in enumerate(recs):
+    for i, (rec,) in enumerate(_evolve_batched(problem, cfg, data, (problem.variant,))):
         extreme = rec.min_overall if cone == "positive" else rec.max_overall
         violation = max(0.0, -sign * extreme)
         rows.append({"trial": i, "extreme": extreme, "violation": violation,
@@ -254,31 +259,24 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
     one-sided one keeps only the term of its cone, and on the cone the other
     term's gate is exactly 0.0, so both give the same bits there.
 
-    Each batch of BATCH_ROWS data steps in one ``evolve`` call as the rows
-    [full x n, one-sided x n]; the lowest failed row is then the one a full
-    run ahead of a one-sided run would raise first."""
+    Each datum (phi, phi) steps under (full, one-sided), so an ``evolve``
+    call steps BATCH_ROWS / 2 data as [full x n, one-sided x n]; the lowest
+    failed row is the one a full run ahead of a one-sided run raises first."""
     sign = cone_sign(cfg.family, cone)
     one_sided = KernelVariant.P if cone == "positive" else KernelVariant.N
-    steps = steps_for_horizon(problem.kernel, cfg.horizon)
-    op = problem.operator
     witness = include_witness and cone == "positive"
 
-    def draws() -> Iterator[HistorySegment]:
+    def data() -> Iterator[tuple]:
         """The trials, then the witness datum drawn with seed + trials."""
         for i in range(cfg.trials + witness):
             phi = _draw(problem, cfg, np.random.default_rng(cfg.seed + i), sign)
-            yield _negate_node(phi, cfg.amplitude) if i == cfg.trials else phi
+            phi = _negate_node(phi, cfg.amplitude) if i == cfg.trials else phi
+            yield phi, phi
 
-    def pair_distance(rec_a, rec_b) -> float:
-        return float(_snapshot_l2(rec_a.fields - rec_b.fields, op.h_x).max())
-
-    dists, it = [], draws()
-    while batch := list(islice(it, BATCH_ROWS)):
-        n = len(batch)
-        recs = evolve(problem, batch + batch, steps, stride=cfg.stride,
-                      record_fields=True,
-                      variants=[KernelVariant.FULL] * n + [one_sided] * n)
-        dists += map(pair_distance, recs[:n], recs[n:])
+    recs = _evolve_batched(problem, cfg, data(), (KernelVariant.FULL, one_sided),
+                           record_fields=True)
+    dists = [float(_snapshot_l2(full.fields - one.fields, problem.operator.h_x).max())
+             for full, one in recs]
     rows = [{"trial": i, "distance": dist, "informational": False,
              "passed": dist == 0.0} for i, dist in enumerate(dists[:cfg.trials])]
     witness_distance = None
@@ -480,11 +478,6 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
         return phi1, HistorySegment(operator=op, r=problem.r, m=problem.m,
                                     values=phi1.values + pert[None, :])
 
-    recs = _evolve_batched(replace(problem, variant=KernelVariant.P),
-                           (phi for i in range(cfg.trials) for phi in pair(i)),
-                           steps_for_horizon(problem.kernel, cfg.horizon),
-                           stride=cfg.stride, record_fields=True)
-
     def trial(i: int, rec1, rec2) -> dict:
         diff = rec1.fields - rec2.fields
         full2 = op.h_x * (diff * diff).sum(axis=1)
@@ -513,8 +506,9 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
             row.update(status="slaved", cone_entry_t=entry_t)
         return row
 
-    # zip(recs, recs) takes the records two at a time: (phi1, phi2) of a pair
-    rows = [trial(i, rec1, rec2) for i, (rec1, rec2) in enumerate(zip(recs, recs))]
+    recs = _evolve_batched(problem, cfg, map(pair, range(cfg.trials)),
+                           (KernelVariant.P, KernelVariant.P), record_fields=True)
+    rows = [trial(i, rec1, rec2) for i, (rec1, rec2) in enumerate(recs)]
     fits = [row for row in rows if row["status"] == "fit"]
     slaved = [row for row in rows if row["status"] == "slaved"]
     inconclusive = [row for row in rows if row["status"] == "inconclusive"]

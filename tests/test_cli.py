@@ -289,6 +289,10 @@ def test_synthesize_rejects_domain_length(L, capsys):
     assert "Traceback" not in err and "Warning" not in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("argv, code, key", [
     # the eigenvalues fit a float, delta_p = (2/mu) M1 exp((lambda_N + mu) r)
     # does not
@@ -303,9 +307,14 @@ def test_synthesize_rejects_domain_length(L, capsys):
     (["synthesize", "-N", str(10**300), "-L", "100"], 2, "-N"),
     # lambda_1 overflows already: L is to blame, whatever N is
     (["synthesize", "-N", str(10**300), "-L", "1e-160"], 2, "-L"),
+    # M_b sqrt(L) overflows, so r_threshold is 0.0: infeasible, exit 1
+    (["synthesize", "-N", "1", "-L", "1e300", "--p", "4e305"], 1, None),
+    # M_b sqrt(L) underflows to 0.0, so r_threshold is inf, which JSON lacks
+    (["synthesize", "-N", "1", "-L", "1e-153", "--p", "1e-300"], 2, "-L"),
 ], ids=["check-short-domain", "check-short-domain-and-r", "synthesize-tiny-L",
       "synthesize-huge-N", "synthesize-N-overflows-lambda",
-      "synthesize-L-overflows-lambda"])
+      "synthesize-L-overflows-lambda", "synthesize-huge-L-and-p",
+      "synthesize-tiny-L-and-p"])
 def test_extreme_inputs_exit_quietly(argv, code, key, tmp_path, capsys):
     cfg = pi_dict()
     cfg["operator"]["domain_length"] = 1e-120
@@ -318,7 +327,8 @@ def test_extreme_inputs_exit_quietly(argv, code, key, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "Warning" not in err and "Traceback" not in err
     if key is None:
-        assert err == "" and json.loads(out)["feasible"] is False
+        assert err == "" and json.loads(
+            out, parse_constant=_reject_constant)["feasible"] is False
     else:
         assert err.startswith(f"config error at {key}:")
 

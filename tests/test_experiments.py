@@ -183,7 +183,7 @@ def test_coincidence_one_evolve_call_per_batch(pi_problem, monkeypatch):
         calls.append(kwargs["variants"])
         return evolve(problem, phis, steps, **kwargs)
 
-    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 8)
     monkeypatch.setattr(s.solver, "combine_profiles", counting_combine)
     monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
     cfg = s.ExperimentConfig(trials=6, seed=5, horizon=0.02, amplitude=0.5)
@@ -208,7 +208,7 @@ def test_coincidence_failure_step_of_two_runs(pi_problem, monkeypatch,
     # one-sided rows, raised first
     monkeypatch.setattr("sddlab.solver.b_eval",
                         lambda nl, w: np.where(w < 0.5, np.nan, 0.0))
-    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 2)
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
     cfg = s.ExperimentConfig(trials=3, seed=5, horizon=horizon,
                              family="constant", amplitude=4.0)
     steps = s.steps_for_horizon(pi_problem.kernel, cfg.horizon)
@@ -490,6 +490,106 @@ def test_attraction_alpha_min_override(pi_problem):
     res = s.run_attraction_rate(pi_problem, cfg, 3)
     assert not res.passed and not res.informational
     assert res.summary["alpha_min"] == 1e6
+
+
+def _attraction_pairs(problem, cfg, N):
+    """Each trial's (first, perturbed) histories, drawn as the runner draws
+    them."""
+    pairs = []
+    for i in range(cfg.trials):
+        rng = np.random.default_rng(cfg.seed + i)
+        first = s.make_initial_history(problem.operator, problem.r, problem.m,
+                                       cfg.family, cfg.amplitude, rng)
+        pert = s.experiments._high_mode_perturbation(problem.operator, N,
+                                                     cfg.amplitude, rng)
+        pairs.append((first, s.HistorySegment(problem.operator, problem.r,
+                                              problem.m,
+                                              first.values + pert[None])))
+    return pairs
+
+
+def test_attraction_one_evolve_call_per_batch(pi_problem, monkeypatch):
+    # BATCH_ROWS = 4 takes two pairs per call, stepped under variant p as
+    # [first x n, perturbed x n]; the rows are those of batches of one
+    V = s.KernelVariant
+    evolve, calls = s.experiments.evolve, []
+
+    def noting_evolve(problem, phis, steps, **kwargs):
+        calls.append(([phi.values for phi in phis], kwargs["variants"]))
+        return evolve(problem, phis, steps, **kwargs)
+
+    cfg = s.ExperimentConfig(trials=3, seed=11, horizon=0.5, amplitude=0.5)
+    with monkeypatch.context() as mp:
+        mp.setattr(s.experiments, "BATCH_ROWS", 1)
+        single = s.run_attraction_rate(pi_problem, cfg, 3)
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
+    monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
+    res = s.run_attraction_rate(pi_problem, cfg, 3)
+    assert repr(res.to_dict()) == repr(single.to_dict())
+    pairs = _attraction_pairs(pi_problem, cfg, 3)
+    assert len(calls) == 2
+    for (values, variants), batch in zip(calls, (pairs[:2], pairs[2:])):
+        expected = [phi.values for column in zip(*batch) for phi in column]
+        assert variants == [V.P] * len(expected)
+        assert len(values) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(values, expected))
+
+
+@pytest.mark.parametrize("horizon, failed_row", [(1.0, 0), (0.014, 2)])
+def test_attraction_failure_step_of_two_runs(pi_problem, monkeypatch,
+                                             horizon, failed_row):
+    # b is NaN below 0.5: the constant first histories fail at step 8, the
+    # first pair's perturbed one at step 6; in 7 steps (T=0.014) only the
+    # perturbed ones fail.  The batched run raises the failure that stepping
+    # each batch's first histories, then its perturbed ones, raised first,
+    # at its row in the batch
+    cfg = s.ExperimentConfig(trials=3, seed=5, horizon=horizon,
+                             family="constant", amplitude=4.0)
+    pairs = _attraction_pairs(pi_problem, cfg, 3)
+    monkeypatch.setattr("sddlab.solver.b_eval",
+                        lambda nl, w: np.where(w < 0.5, np.nan, 0.0))
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
+    steps = s.steps_for_horizon(pi_problem.kernel, cfg.horizon)
+    p = replace(pi_problem, variant=s.KernelVariant.P)
+
+    def two_runs():
+        for start in range(0, len(pairs), 2):
+            batch = pairs[start:start + 2]
+            for position, column in enumerate(zip(*batch)):
+                try:
+                    s.evolve(p, list(column), steps, stride=cfg.stride,
+                             record_fields=True)
+                except s.IntegrationFailure as exc:
+                    return exc.step_index, exc.t, exc.row + position * len(batch)
+
+    old = two_runs()
+    with pytest.raises(s.IntegrationFailure) as batched:
+        s.run_attraction_rate(pi_problem, cfg, 3)
+    assert old[2] == failed_row
+    assert (batched.value.step_index, batched.value.t, batched.value.row) == old
+
+
+@pytest.mark.parametrize("batch_rows", [1, 3, 4, 64])
+def test_evolve_calls_within_batch_rows(pi_problem, monkeypatch, batch_rows):
+    # every runner's evolve call takes at most BATCH_ROWS rows, or one
+    # datum's rows when a datum is wider
+    evolve, rows = s.experiments.evolve, []
+
+    def noting_evolve(problem, phis, steps, **kwargs):
+        rows.append(len(phis))
+        return evolve(problem, phis, steps, **kwargs)
+
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
+    cfg = s.ExperimentConfig(trials=7, seed=3, horizon=0.02, amplitude=0.5)
+    for run, width, data in (
+            (lambda: s.run_cone_invariance(pi_problem, cfg), 1, 7),
+            (lambda: s.run_coincidence(pi_problem, cfg), 2, 8),
+            (lambda: s.run_attraction_rate(pi_problem, cfg, 3), 2, 7)):
+        rows.clear()
+        run()
+        assert sum(rows) == width * data
+        assert max(rows) <= max(batch_rows, width)
 
 
 def test_emit_roundtrip_and_determinism(pi_problem, small_cfg, tmp_path):
