@@ -241,6 +241,14 @@ def build_problem(cfg: dict) -> ProblemSpec:
                        variant=KernelVariant(cfg["variant"]))
 
 
+def _load(args, section: str, overrides: dict) -> tuple[dict, ProblemSpec]:
+    """The config with the flag ``overrides``, if it has ``section``, and its problem."""
+    cfg = load_config(args.config, overrides)
+    if cfg[section] is None:
+        raise ConfigError(section, f"missing required section for {args.command}")
+    return cfg, build_problem(cfg)
+
+
 def _default_outdir(flag_value) -> str:
     return flag_value or os.environ.get("SDDLAB_OUTDIR", ".")
 
@@ -261,10 +269,8 @@ def _require_finite(where: str, values: dict) -> None:
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config, {"conditions": {"N": args.N, "mu": args.mu}})
-    if cfg["conditions"] is None:
-        raise ConfigError("conditions", "missing required section for check")
-    problem = build_problem(cfg)
+    cfg, problem = _load(args, "conditions",
+                         {"conditions": {"N": args.N, "mu": args.mu}})
     report = _at("conditions", condition_report, problem,
                  cfg["conditions"]["N"], cfg["conditions"]["mu"])
     _require_finite("conditions", report.values)
@@ -280,24 +286,22 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    nl = nicholson(args.p)
+    nl = _at("--p", nicholson, args.p)
     r_grid = _at("grid", search_grid, "r", args.r_min, args.r_max,
                  args.r_points)
     mxi_grid = _at("grid", search_grid, "M_xi", args.mxi_min, args.mxi_max,
                    args.mxi_points)
     N = _at("-N", require_int, "N", args.low_modes, 1)
-    if N >= sys.float_info.max:  # lambda_N takes N as a float
-        raise ConfigError("-N", "N must be below the largest float")
     L = _at("-L", require_real, "domain_length", args.domain_length)
     _at("-L", dirichlet_eigenvalues, L, 1)
-    # lambda_{N+1} must not overflow, or no grid point can be certified
+    # lambda_1 fits a float, so a lambda_{N+1} that does not is N's fault
     try:
         dirichlet_eigenvalues(L, N + 1)
     except ContractViolation:
         raise ConfigError("-N", f"lambda_(N+1) overflows for L = {L!r}") from None
-    result = synthesize_params(N, nl, L,
-                               margin=args.margin, r_grid=r_grid,
-                               mxi_grid=mxi_grid)
+    # every other argument is checked above, so a violation is the margin's
+    result = _at("--margin", synthesize_params, N, nl, L, margin=args.margin,
+                 r_grid=r_grid, mxi_grid=mxi_grid)
     _require_finite("-L", result.certificate)
     if args.format == "csv":
         flat = {"feasible": result.feasible}
@@ -312,13 +316,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, {"simulation": {
+    cfg, problem = _load(args, "simulation", {"simulation": {
         "horizon": args.horizon, "stride": args.stride,
         "initial": {"seed": args.seed}}})
-    if cfg["simulation"] is None:
-        raise ConfigError("simulation", "missing required section for simulate")
     sim = cfg["simulation"]
-    problem = build_problem(cfg)
     steps = _run_steps("simulation", problem.kernel, sim["horizon"])
     init = sim["initial"]
     rng = np.random.default_rng(init["seed"])
@@ -356,14 +357,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = load_config(args.config, {"experiment": {
+    cfg, problem = _load(args, "experiment", {"experiment": {
         "trials": args.trials, "seed": args.seed, "horizon": args.horizon}})
-    if cfg["experiment"] is None:
-        raise ConfigError("experiment", "missing required section for experiment")
     e = dict(cfg["experiment"])
     cone, N = e.pop("cone"), e.pop("N")
     ecfg = ExperimentConfig(**e)
-    problem = build_problem(cfg)
     cones = ("positive", "negative") if cone == "both" else (cone,)
     if args.name != "lipschitz":  # the runners check the family without a key
         first = "positive" if args.name == "attraction" else cones[0]

@@ -29,7 +29,7 @@ from .errors import ContractViolation, require_int, require_real
 from .kernel import KernelVariant, l11_constant
 from .nonlinear import NonlinearitySpec
 from .solver import ProblemSpec
-from .spectral import analytic_eigenvalues
+from .spectral import analytic_eigenvalues, dirichlet_eigenvalues
 
 
 def m1_constant(r: float, L_b: float, M_xi: float, M_b: float, l11: float,
@@ -252,11 +252,7 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
         raise ContractViolation("search grids must be non-empty")
     search = {"r_points": int(r_grid.size), "mxi_points": int(mxi_grid.size)}
 
-    try:
-        lam_N = (N * np.pi / L) ** 2
-        lam_N1 = ((N + 1) * np.pi / L) ** 2
-    except OverflowError:  # inf, as when N pi / L itself overflows: infeasible
-        lam_N = lam_N1 = math.inf
+    lam_N, lam_N1 = dirichlet_eigenvalues(L, [N, N + 1]).tolist()
     mu = (lam_N1 - lam_N) / 2.0
     M_b, L_b = nonlinearity.M_b, nonlinearity.L_b
     # the minus window (minus_floor, r M_xi / 2] is nonempty only for r above this

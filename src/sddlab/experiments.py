@@ -219,6 +219,7 @@ def _evolve_batched(problem: ProblemSpec, cfg: ExperimentConfig,
                       steps, stride=cfg.stride, record_fields=record_fields,
                       variants=[var for var in variants for _ in batch])
         yield from (recs[i::len(batch)] for i in range(len(batch)))
+        del recs  # free this call's states before the next call steps
 
 
 def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
@@ -275,8 +276,9 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
 
     recs = _evolve_batched(problem, cfg, data(), (KernelVariant.FULL, one_sided),
                            record_fields=True)
-    dists = [float(_snapshot_l2(full.fields - one.fields, problem.operator.h_x).max())
-             for full, one in recs]
+    # map, unlike a loop variable, keeps no datum's records while the next call steps
+    dists = list(map(lambda pair: float(_snapshot_l2(
+        pair[0].fields - pair[1].fields, problem.operator.h_x).max()), recs))
     rows = [{"trial": i, "distance": dist, "informational": False,
              "passed": dist == 0.0} for i, dist in enumerate(dists[:cfg.trials])]
     witness_distance = None
@@ -478,8 +480,8 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
         return phi1, HistorySegment(operator=op, r=problem.r, m=problem.m,
                                     values=phi1.values + pert[None, :])
 
-    def trial(i: int, rec1, rec2) -> dict:
-        diff = rec1.fields - rec2.fields
+    def trial(i: int, recs) -> dict:
+        diff = recs[0].fields - recs[1].fields
         full2 = op.h_x * (diff * diff).sum(axis=1)
         row = {"trial": i, "status": "skipped", "alpha_hat": None, "r2": None,
                "q0": 0.0, "cone_entry_t": None, "n_window": 0}
@@ -489,7 +491,7 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
         p2 = (low * low).sum(axis=1)
         q = np.sqrt(np.maximum(full2 - p2, 0.0))
         pn = np.sqrt(p2)
-        t = rec1.times
+        t = recs[0].times
         in_cone = q <= pn
         cone_idx = int(np.argmax(in_cone)) if bool(in_cone.any()) else None
         window = (t >= problem.r - 1e-12) & (q >= NOISE_FLOOR)
@@ -508,7 +510,7 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
 
     recs = _evolve_batched(problem, cfg, map(pair, range(cfg.trials)),
                            (KernelVariant.P, KernelVariant.P), record_fields=True)
-    rows = [trial(i, rec1, rec2) for i, (rec1, rec2) in enumerate(recs)]
+    rows = list(map(trial, range(cfg.trials), recs))  # enumerate would keep a pair's records
     fits = [row for row in rows if row["status"] == "fit"]
     slaved = [row for row in rows if row["status"] == "slaved"]
     inconclusive = [row for row in rows if row["status"] == "inconclusive"]

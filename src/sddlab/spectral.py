@@ -113,11 +113,14 @@ def _no_overflow(domain_length: float, lam: np.ndarray) -> np.ndarray:
 
 
 def dirichlet_eigenvalues(domain_length: float, k) -> np.ndarray:
-    """lambda_k = (k pi / L)^2 for the mode numbers k; a domain so short that
-    one of them overflows is a ContractViolation that names domain_length."""
+    """lambda_k = (k pi / L)^2 for the mode numbers k; a k past the float range,
+    or a domain so short that one overflows, is a ContractViolation."""
+    try:
+        k = np.asarray(k, dtype=float)
+    except OverflowError:
+        raise ContractViolation("mode numbers must be below the largest float") from None
     with np.errstate(over="ignore"):
-        return _no_overflow(domain_length,
-                            (np.asarray(k, dtype=float) * np.pi / domain_length) ** 2)
+        return _no_overflow(domain_length, (k * np.pi / domain_length) ** 2)
 
 
 def analytic_eigenvalues(spec: OperatorSpec) -> np.ndarray:

@@ -270,7 +270,8 @@ def test_synthesize_huge_p(p, capsys):
         assert not result["feasible"]
         assert result["certificate"]["binding_constraint"]
     else:
-        assert code == 2 and f"p={float(p)!r} is too large" in err
+        assert code == 2 and err.startswith("config error at --p:")
+        assert f"p={float(p)!r} is too large" in err
 
 
 def test_synthesize_missing_N():
@@ -311,10 +312,15 @@ def _reject_constant(name):
     (["synthesize", "-N", "1", "-L", "1e300", "--p", "4e305"], 1, None),
     # M_b sqrt(L) underflows to 0.0, so r_threshold is inf, which JSON lacks
     (["synthesize", "-N", "1", "-L", "1e-153", "--p", "1e-300"], 2, "-L"),
+    # the flags the search takes name themselves
+    (["synthesize", "-N", "1", "-L", "100", "--p", "-1"], 2, "--p"),
+    (["synthesize", "-N", "1", "-L", "100", "--margin", "1.5"], 2, "--margin"),
+    (["synthesize", "-N", "1", "-L", "100", "--margin", "-0.1"], 2, "--margin"),
 ], ids=["check-short-domain", "check-short-domain-and-r", "synthesize-tiny-L",
       "synthesize-huge-N", "synthesize-N-overflows-lambda",
       "synthesize-L-overflows-lambda", "synthesize-huge-L-and-p",
-      "synthesize-tiny-L-and-p"])
+      "synthesize-tiny-L-and-p", "synthesize-bad-p", "synthesize-margin-1.5",
+      "synthesize-negative-margin"])
 def test_extreme_inputs_exit_quietly(argv, code, key, tmp_path, capsys):
     cfg = pi_dict()
     cfg["operator"]["domain_length"] = 1e-120

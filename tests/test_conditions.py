@@ -289,8 +289,7 @@ SWEEP = [(N, L, p, 0.1, None) for N in (1, 2, 3, 5)
 # both README examples, which SWEEP holds at the default margin
 SWEEP += [(N, L, 1.0, margin, None) for N, L in ((1, 100.0), (3, float(np.pi)))
           for margin in (0.0, 0.5)]
-SWEEP += [(3, float(np.pi), 1.0, 0.1, [0.1, 1.0]),  # r grid below threshold
-          (1, 1e-160, 1.0, 0.1, None)]  # eigenvalues overflow
+SWEEP += [(3, float(np.pi), 1.0, 0.1, [0.1, 1.0])]  # r grid below threshold
 
 
 @pytest.mark.parametrize("N, L, p, margin, r_grid", SWEEP)
@@ -354,10 +353,60 @@ def test_synthesize_threshold_long_domain(nl):
 
 
 @pytest.mark.parametrize("L", [1e-160, 1e-300, 5e-324])
-def test_synthesize_short_domain_is_infeasible(nl, L):
-    # eigenvalues that overflow certify no grid point; no OverflowError
+def test_synthesize_short_domain_is_infeasible(nl, L, monkeypatch):
+    # eigenvalues that overflow certify no grid point: like condition_report,
+    # the search rejects them before it scans a cell
+    monkeypatch.setattr(sddlab.conditions, "remark_caps", None)
+    with pytest.raises(ContractViolation, match=f"domain_length {L!r} is too small"):
+        s.synthesize_params(1, nl, L)
+
+
+@pytest.mark.parametrize("N", [10**300, 10**400], ids=["1e300", "1e400"])
+def test_synthesize_huge_N_is_rejected(nl, N, monkeypatch):
+    # lambda_{N+1} overflows, or N itself is past the float range
+    monkeypatch.setattr(sddlab.conditions, "remark_caps", None)
+    with pytest.raises(ContractViolation):
+        s.synthesize_params(N, nl, 100.0)
+
+
+def test_synthesize_and_check_share_eigenvalues(nl):
+    # one eigenvalue rule: here (pi / L)^2 as a Python float and as a numpy
+    # float64 differ in the last bit
+    L = 29.34846742337117
     res = s.synthesize_params(1, nl, L)
-    assert not res.feasible and res.params is None
+    ks = s.make_constant_kernel(res.params["r"], 50, res.params["plus_integral"],
+                                res.params["minus_integral"], res.params["M_xi"])
+    rep = s.condition_report(
+        s.ProblemSpec(operator=s.OperatorSpec(L, 4, 64), kernel=ks,
+                      nonlinearity=nl), 1)
+    for key in ("lambda_N", "lambda_N1"):
+        assert res.certificate[key].hex() == rep.values[key].hex(), key
+    assert rep.values["lambda_N"] == 0.011458529594081895
+
+
+def test_synthesize_certificate_flags_branch(nl, monkeypatch, capsys):
+    # no cell that passes the structural caps passes every flag
+    monkeypatch.setattr(sddlab.conditions, "PIM_ONLY", {})
+    cert = s.synthesize_params(1, nl, 100.0).certificate
+    assert cert == {
+        "binding_constraint": "certificate_flags",
+        "r_threshold": R_THRESHOLD_100,
+        "detail": ("grid points satisfied the structural caps but no point "
+                   "passed every certificate flag"),
+        "rejections": {"r_cap": 3496, "window_empty": 3422, "flags": 282},
+    }
+    assert sum(cert["rejections"].values()) == 60 * 120
+    assert main(["synthesize", "-N", "1", "-L", "100"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "feasible": False, "params": None, "certificate": cert,
+        "search": {"r_points": 60, "mxi_points": 120}}
+    # the CSV keeps the scalar rows, not the rejections
+    assert main(["synthesize", "-N", "1", "-L", "100", "--format", "csv"]) == 1
+    assert capsys.readouterr().out == (
+        "feasible,False\n"
+        "binding_constraint,certificate_flags\n"
+        f"r_threshold,{R_THRESHOLD_100!r}\n"
+        f"detail,{cert['detail']}\n")
 
 
 def test_synthesize_contracts(nl):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -590,6 +591,29 @@ def test_evolve_calls_within_batch_rows(pi_problem, monkeypatch, batch_rows):
         run()
         assert sum(rows) == width * data
         assert max(rows) <= max(batch_rows, width)
+
+
+@pytest.mark.parametrize("runner", ["coincidence", "attraction"])
+def test_one_call_of_sampled_states_alive(pi_problem, monkeypatch, runner):
+    # a call's records are views of its one (rows, samples, n_x) buffer; the
+    # runner and its consumer free it before the next call steps, so the
+    # peak holds one call's states, not two
+    evolve, buffers = s.experiments.evolve, []
+
+    def noting_evolve(problem, phis, steps, **kwargs):
+        assert [buf() for buf in buffers] == [None] * len(buffers)
+        recs = evolve(problem, phis, steps, **kwargs)
+        buffers.append(weakref.ref(recs[0].fields.base))
+        return recs
+
+    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
+    monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
+    cfg = s.ExperimentConfig(trials=5, seed=3, horizon=0.02, amplitude=0.5)
+    if runner == "coincidence":  # five trials and the witness, two per call
+        s.run_coincidence(pi_problem, cfg)
+    else:  # five pairs, two per call
+        s.run_attraction_rate(pi_problem, cfg, 3)
+    assert len(buffers) == 3
 
 
 def test_emit_roundtrip_and_determinism(pi_problem, small_cfg, tmp_path):
