@@ -232,6 +232,22 @@ def search_grid(name: str, lo=None, hi=None, points=None) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
+def _explicit_grid(name: str, values) -> np.ndarray:
+    """A grid passed to synthesize_params as a float array; like one from
+    search_grid it must be 1-D with 1 .. MAX_GRID_POINTS values, each finite
+    and > 0."""
+    try:
+        grid = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, text, a huge int
+        grid = np.empty(0)
+    if not (grid.ndim == 1 and 1 <= grid.size <= MAX_GRID_POINTS
+            and np.isfinite(grid).all() and (grid > 0.0).all()):
+        raise ContractViolation(
+            f"{name} must be 1-D with 1 to MAX_GRID_POINTS = {MAX_GRID_POINTS} "
+            "values, each a finite number > 0")
+    return grid
+
+
 def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: float,
                       margin: float = 0.1, r_grid=None, mxi_grid=None) -> SynthesisResult:
     """Search (r, M_xi) grids for a PIM-only operating point at low-mode count N.
@@ -245,11 +261,9 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
     L = require_real("domain_length", domain_length)
     if not require_real("margin", margin, ">=") < 1.0:
         raise ContractViolation("margin must lie in [0, 1)")
-    r_grid = search_grid("r") if r_grid is None else np.asarray(r_grid, dtype=float)
+    r_grid = search_grid("r") if r_grid is None else _explicit_grid("r_grid", r_grid)
     mxi_grid = (search_grid("M_xi") if mxi_grid is None
-                else np.asarray(mxi_grid, dtype=float))
-    if r_grid.size == 0 or mxi_grid.size == 0:
-        raise ContractViolation("search grids must be non-empty")
+                else _explicit_grid("mxi_grid", mxi_grid))
     search = {"r_points": int(r_grid.size), "mxi_points": int(mxi_grid.size)}
 
     lam_N, lam_N1 = dirichlet_eigenvalues(L, [N, N + 1]).tolist()

@@ -149,7 +149,8 @@ def _histories(op: OperatorSpec, m: int, family: str, amplitude: float,
             ends = np.maximum(ends, 0.0)
         # (1 - s) * f0 + s * f1, plus the offset of the positive family
         np.multiply(1.0 - s, ends[:, 0], out=out)
-        out += s * ends[:, 1]
+        for rows, end in zip(out, ends[:, 1]):  # no stack-sized temporary
+            rows += s * end
         if family == "random_positive_fourier":
             out += amplitude
     else:  # gaussian_bumps
@@ -296,9 +297,9 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
                             trials=rows, summary=summary)
 
 
-def _pair_evaluator(problem: ProblemSpec):
+def _pair_evaluator(problem: ProblemSpec, chunk: int):
     """The Lipschitz check of ``problem`` as a function of a (2, P, m+1, n_x)
-    stack of P pairs (v1, v2) = pairs.
+    stack of P <= ``chunk`` pairs (v1, v2) = pairs.
 
     It returns the C norm of v1 - v2 and the columns of a checked pair: every
     variant's ``kernel_ratio_*`` against its l11, ``b1_ratio`` for
@@ -313,6 +314,10 @@ def _pair_evaluator(problem: ProblemSpec):
     tw = theta_weights(ks.r, ks.m)
     l11 = {var: l11_constant(ks, var) for var in KernelVariant}
     m1 = lipschitz_M1(problem)
+    # the (2P, m+1, n_x) temporaries of sign_masses and b_eval, allocated
+    # once: fresh ones are past glibc's mmap threshold unless an earlier
+    # large free has raised it, and each chunk would page-fault them again
+    scratch = np.empty((2, 2 * chunk, ks.m + 1, op.grid_points))
 
     def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
@@ -320,19 +325,19 @@ def _pair_evaluator(problem: ProblemSpec):
     def evaluate(pairs: np.ndarray) -> tuple[np.ndarray, dict]:
         P = pairs.shape[1]
         both = pairs.reshape(2 * P, *pairs.shape[2:])
-        s_plus, s_minus = gates(tw, sign_masses(both, op.h_x))[..., None]
-        # the C and L1L1 norms of v1 - v2, per pair; the difference is freed
-        # before the b_eval temporaries, which set the peak memory
+        work = scratch[:, :2 * P]
+        masses = sign_masses(both, op.h_x, scratch=work[0])
+        s_plus, s_minus = gates(tw, masses)[..., None]
+        # the C and L1L1 norms of v1 - v2, per pair
         delta = pairs[0] - pairs[1]
         dC = _snapshot_l2(delta, op.h_x).max(axis=-1)
         d11 = _theta_dot(tw, _snapshot_l1(delta, op.h_x))
-        del delta
         cols = {}
         for var in KernelVariant:
             xi = combine_profiles(ks, s_plus, s_minus, var)
             if var is problem.variant:
                 b1 = np.matmul((tw * xi)[:, None, :],
-                               b_eval(problem.nonlinearity, both))[:, 0]
+                               b_eval(problem.nonlinearity, both, scratch=work))[:, 0]
             cols[f"kernel_ratio_{var.value}"] = ratio(
                 _theta_dot(tw, np.abs(xi[:P] - xi[P:])), l11[var] * d11)
         cols["b1_ratio"] = ratio(
@@ -395,7 +400,7 @@ def run_lipschitz_sampling(problem: ProblemSpec,
     # one buffer for every chunk: with fresh stacks per chunk, glibc trimmed
     # the heap after each chunk and the next one page-faulted it back
     work = np.empty((3 * chunk, problem.m + 1, problem.operator.grid_points))
-    evaluate, rows = _pair_evaluator(problem), []
+    evaluate, rows = _pair_evaluator(problem, chunk), []
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
         dC, cols = evaluate(_draw_pairs(problem, cfg, trials, work))

@@ -50,10 +50,15 @@ def nicholson(p: float = 1.0) -> NonlinearitySpec:
     return NonlinearitySpec(p=p)
 
 
-def b_eval(spec: NonlinearitySpec, w):
-    """Vectorized b(w)."""
+def b_eval(spec: NonlinearitySpec, w, scratch=None):
+    """Vectorized b(w) = ((p w) w) exp(-|w|).  ``scratch``, two contiguous
+    arrays of the shape of ``w``, takes the temporaries in place of fresh
+    ones, and the first one the result; the bits are the same."""
     w = np.asarray(w, dtype=float)
-    return spec.p * w * w * np.exp(-np.abs(w))
+    pw2, e = (None, None) if scratch is None else scratch
+    e = np.exp(np.negative(np.abs(w, out=e), out=e), out=e)
+    return np.multiply(np.multiply(np.multiply(spec.p, w, out=pw2), w, out=pw2),
+                       e, out=pw2)
 
 
 def b_prime(spec: NonlinearitySpec, w):

@@ -66,8 +66,9 @@ def steps_for_horizon(kernel: KernelSpec, T: float) -> int:
 class _Engine:
     """Lockstep stepper behind ``evolve``: a (2, B, n_x) buffer whose row 0
     holds the current states ``u`` and row 1 their forcing, so one DST call
-    transforms both, plus mirror rings of 2(m+1) slots for the per-snapshot
-    b values and sign masses the forcing needs.  A new snapshot goes to slots
+    transforms both into a second such buffer, ``spec``, plus mirror rings of
+    2(m+1) slots for the per-snapshot b values and sign masses the forcing
+    needs.  A new snapshot goes to slots
     ``head`` and ``head + m + 1``, so slots ``head:head + m + 1`` always hold
     the window, oldest first."""
 
@@ -99,6 +100,7 @@ class _Engine:
         self.buf = np.empty((2, len(phis), op.grid_points))
         self.u = self.buf[0]
         self.u[...] = values[:, -1]
+        self.spec = np.empty_like(self.buf)
         self.xi = np.empty((len(phis), problem.m + 1))
         # overflow in b on absurd data surfaces as IntegrationFailure later
         with np.errstate(over="ignore", invalid="ignore"):
@@ -133,11 +135,11 @@ class _Engine:
         buffer.  A row that goes non-finite stays in the stack; the caller
         checks finiteness."""
         self.forcing()
-        a, f = dst(self.buf, type=2)
+        a, f = dst(self.buf, out=self.spec)
         a *= self.E
         f *= self.G
         a += f
-        self.u[...] = idst(a, type=2)
+        idst(a, out=self.u)
         # the new snapshot replaces the oldest one, in both mirror slots
         slots = slice(self.head, None, self.problem.m + 1)
         self.b_rows[:, slots] = b_eval(self.problem.nonlinearity, self.u)[:, None]

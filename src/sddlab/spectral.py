@@ -10,6 +10,10 @@ discrete weight, hence the ``modes <= grid_points - 1`` requirement.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,27 +21,57 @@ import numpy as np
 from .errors import (ContractViolation, GridMismatch, frozen, require_int,
                      require_real)
 
-# scipy.fft._pocketfft, the default backend scipy.fft.dst/idst dispatch to,
-# bound by the first transform: its import loads scipy.fft (~0.4 s), which
-# check never needs.  Called directly it makes the same pocketfft call with
-# the same bits and skips scipy.fft's backend dispatch (~4 us a call).
-_fft = None
+# pocketfft's compiled module, the function scipy.fft.dst/idst end in.  The
+# first transform loads it from its file, so the scipy.fft package (0.2-0.4 s
+# of import and ~19 MB, much of it scipy.special) never loads: check and
+# synthesize transform nothing, and simulate and experiment need only this.
+# It is made under its own name, so a later ``import scipy.fft`` in the same
+# process reuses it.
+_PFFT_NAME = "scipy.fft._pocketfft.pypocketfft"
+_pfft = None
 
 
-def _pocketfft():
-    global _fft
-    from scipy.fft import _pocketfft as _fft
-    return _fft
+def _load_pocketfft():
+    """Bind the compiled module: the one in sys.modules when scipy.fft or an
+    earlier load made it, else the one loaded from scipy's directory."""
+    global _pfft
+    if _PFFT_NAME not in sys.modules:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None or not spec.submodule_search_locations:
+            raise ImportError("scipy is not installed: no scipy package on "
+                              "sys.path to load pocketfft's compiled module from")
+        where = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
+        paths = [os.path.join(where, "pypocketfft" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            raise ImportError(f"no compiled pypocketfft module in {where}")
+        loader = importlib.machinery.ExtensionFileLoader(_PFFT_NAME, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(_PFFT_NAME, path, loader=loader))
+        loader.exec_module(module)
+        sys.modules[_PFFT_NAME] = module
+    _pfft = sys.modules[_PFFT_NAME]
+    return _pfft
 
 
-def dst(x, *args, **kwargs):
-    """scipy.fft.dst; the first transform imports scipy.fft."""
-    return (_fft or _pocketfft()).dst(x, *args, **kwargs)
+# the positional call scipy.fft's _r2r makes: type, axes, normalization (0:
+# none, 2: divide by 2n), out, one thread, and the orthogonalization flag
+# left at its default None, the value _r2r passes; an inverse swaps types 2, 3
+_INVERSE_TYPE = {2: 3, 3: 2}
 
 
-def idst(x, *args, **kwargs):
-    """scipy.fft.idst; the first transform imports scipy.fft."""
-    return (_fft or _pocketfft()).idst(x, *args, **kwargs)
+def dst(x, type=2, axis=-1, out=None):
+    """scipy.fft.dst(x, type, axis=axis), bit for bit, written into ``out``
+    when given; the first transform loads pocketfft."""
+    return (_pfft or _load_pocketfft()).dst(x, type, (axis,), 0, out, 1)
+
+
+def idst(x, type=2, axis=-1, out=None):
+    """scipy.fft.idst(x, type, axis=axis), bit for bit: the DST of the
+    inverse type divided by 2n, written into ``out`` when given."""
+    return (_pfft or _load_pocketfft()).dst(x, _INVERSE_TYPE.get(type, type),
+                                            (axis,), 2, out, 1)
 
 
 def _require(cond: bool, message: str) -> None:

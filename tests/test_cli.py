@@ -763,23 +763,26 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv, code, scipy_loaded", [
-    ([], 0, False),
-    (["check", str(CONFIGS / "headline.json")], 0, False),
-    (["synthesize", "-N", "3", "-L", "3.141592653589793"], 1, False),
-    (["synthesize", "-N", "1", "-L", "100"], 0, False),
-    # control: a command that transforms a field does load scipy.fft
-    (["simulate", str(CONFIGS / "gap_pi.json"), "--horizon", "0.01"], 0, True),
-], ids=["import", "check", "synthesize-infeasible", "synthesize", "simulate"])
-def test_cold_commands_skip_scipy(argv, code, scipy_loaded, tmp_path):
+# a command that transforms a field loads pocketfft's compiled module from
+# its file, under its own name, and nothing of the scipy package
+PFFT = ["scipy.fft._pocketfft.pypocketfft"]
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    ([], 0, []),
+    (["check", str(CONFIGS / "headline.json")], 0, []),
+    (["synthesize", "-N", "3", "-L", "3.141592653589793"], 1, []),
+    (["synthesize", "-N", "1", "-L", "100"], 0, []),
+    (["simulate", str(CONFIGS / "gap_pi.json"), "--horizon", "0.01"], 0, PFFT),
+    (["experiment", "cone-invariance", str(CONFIGS / "gap_pi.json"),
+      "--trials", "2", "--horizon", "0.01"], 0, PFFT),
+], ids=["import", "check", "synthesize-infeasible", "synthesize", "simulate",
+        "experiment"])
+def test_cold_commands_skip_scipy(argv, code, loaded, tmp_path):
     src = str(Path(sddlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, SDDLAB_OUTDIR=str(tmp_path), PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", COLD_CHILD, *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
-    loaded = json.loads(proc.stderr.strip().splitlines()[-1])
-    if scipy_loaded:
-        assert "scipy.fft" in loaded
-    else:
-        assert loaded == []
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == loaded

@@ -418,13 +418,25 @@ def test_synthesize_contracts(nl):
         s.synthesize_params(1, nl, 100.0, margin=1.0)
     with pytest.raises(ContractViolation):
         s.synthesize_params(1, nl, 100.0, margin=-0.1)
-    with pytest.raises(ContractViolation):
-        s.synthesize_params(1, nl, 100.0, r_grid=np.array([]))
     # feasibility follows from the params and cannot be passed in
     with pytest.raises(TypeError):
         s.SynthesisResult(feasible=True, params=None, certificate={},
                           search={})
     assert not s.SynthesisResult(params=None, certificate={}, search={}).feasible
+
+
+@pytest.mark.parametrize("grid", [
+    [-1.0], [0.0], [0.3, float("nan")], [float("inf")], [[0.3, 0.4]], 0.5,
+    [], np.full(MAX_GRID_POINTS + 1, 0.5), ["a"], [[0.3], [0.4, 0.5]], [10**400],
+], ids=["negative", "zero", "nan", "inf", "2-D", "scalar", "empty",
+        "too-long", "text", "ragged", "huge-int"])
+def test_synthesize_rejects_explicit_grids_search_grid_cannot_make(nl, grid):
+    # r_grid=[-1.0] used to return an infeasible certificate, and
+    # [[0.3, 0.4]] a numpy broadcast ValueError from remark_caps
+    for key in ("r_grid", "mxi_grid"):
+        with pytest.raises(ContractViolation, match=f"^{key} must be 1-D with 1 to "
+                           f"MAX_GRID_POINTS = {MAX_GRID_POINTS} values"):
+            s.synthesize_params(1, nl, 100.0, **{key: grid})
 
 
 def test_synthesis_result_serialization(nl):

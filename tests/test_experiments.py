@@ -2,8 +2,12 @@
 
 import json
 import os
+import platform
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,9 +285,9 @@ def test_lipschitz_matches_single_segment_api(headline_problem, family,
     segments = []
     masses = s.experiments.sign_masses
 
-    def counting_masses(values, h_x):
+    def counting_masses(values, h_x, scratch=None):
         segments.append(len(values) if values.ndim == 3 else 1)
-        return masses(values, h_x)
+        return masses(values, h_x, scratch=scratch)
 
     monkeypatch.setattr(s.experiments, "sign_masses", counting_masses)
     cfg = s.ExperimentConfig(trials=30, seed=4, horizon=1.0, family=family,
@@ -342,7 +346,7 @@ def test_lipschitz_negative_control_fails_against_m1():
     problem = s.ProblemSpec(op, ks, s.nicholson(1.0), variant="p")
     assert s.condition_report(problem, 1).verdict == "IM_exists"
     eps = [1e-9, 1e-6, 1e-4]
-    dC, cols = s.experiments._pair_evaluator(problem)(
+    dC, cols = s.experiments._pair_evaluator(problem, len(eps))(
         theta_constant_pairs(op, ks.m, 1.5, 6, eps))
     assert dC.tolist() == pytest.approx([e * np.sqrt(op.domain_length)
                                          for e in eps], rel=1e-6)
@@ -355,7 +359,7 @@ def test_lipschitz_constructed_pair_reaches_past_the_samples(headline_problem):
     # is open, with a uniform difference; the kernel bound is tight on it
     problem = replace(headline_problem, variant=s.KernelVariant.P)
     op = problem.operator
-    dC, cols = s.experiments._pair_evaluator(problem)(
+    dC, cols = s.experiments._pair_evaluator(problem, 1)(
         theta_constant_pairs(op, problem.m, 1.2, 2, [1e-3]))
     assert dC[0] == pytest.approx(1e-3 * np.sqrt(op.domain_length), rel=1e-9)
     assert cols["b1_ratio"][0] == pytest.approx(0.4741, abs=1e-4)
@@ -407,14 +411,58 @@ def test_lipschitz_rows_do_not_depend_on_chunk(headline_problem, monkeypatch,
 def test_lipschitz_calls_each_layer_once_per_chunk(headline_problem, monkeypatch):
     calls = {"sign_masses": 0, "b_eval": 0, "inverse": 0}
     for name in calls:
-        def counting(*args, _name=name, _f=getattr(s.experiments, name)):
+        def counting(*args, _name=name, _f=getattr(s.experiments, name), **kwargs):
             calls[_name] += 1
-            return _f(*args)
+            return _f(*args, **kwargs)
         monkeypatch.setattr(s.experiments, name, counting)
     chunk = s.experiments.PAIR_CHUNK
     cfg = s.ExperimentConfig(trials=2 * chunk + 1, seed=4, horizon=1.0)
     assert s.run_lipschitz_sampling(headline_problem, cfg).passed
     assert calls == {"sign_masses": 3, "b_eval": 3, "inverse": 3}
+
+
+# 20 headline Lipschitz jobs of 60 pairs after a warm-up one, in a process
+# that never imports scipy; prints the minor page faults per job
+FAULTS_CHILD = """
+import resource
+import sys
+from sddlab.cli import build_problem, load_config
+from sddlab.experiments import ExperimentConfig, run_lipschitz_sampling
+cfg = load_config(sys.argv[1])
+problem = build_problem(cfg)
+e = cfg["experiment"]
+jobs = [ExperimentConfig(trials=60, seed=1000 * i, horizon=1.0, family=e["family"],
+                         amplitude=e["amplitude"]) for i in range(21)]
+run_lipschitz_sampling(problem, jobs[0])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for job in jobs[1:]:
+    run_lipschitz_sampling(problem, job)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy" and "pocketfft" not in m]
+print(faults / 20)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts page faults under glibc's MALLOC_MMAP_THRESHOLD_, which "
+           "other C libraries ignore; ru_minflt differs off Linux")
+def test_lipschitz_jobs_do_not_page_fault_their_temporaries():
+    # a temporary of a chunk's size (a 208 KB stack of 4 segments) is past
+    # glibc's 128 KiB mmap threshold unless an earlier large free has raised
+    # it, as scipy's import used to; then every chunk maps and faults it in
+    # again.  The threshold is pinned at its default, so the count does not
+    # hang on what the process freed before: ~180 faults per job with the
+    # scratch arrays, ~15000 with fresh temporaries
+    src = str(Path(s.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "headline.json")
+    proc = subprocess.run([sys.executable, "-c", FAULTS_CHILD, config],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   MALLOC_MMAP_THRESHOLD_="131072"))
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1000
 
 
 def test_attraction_rate_fits(pi_problem):

@@ -1,5 +1,13 @@
 """Eigenstructure, transform pair, projections, and the low-mode extension."""
 
+import importlib.machinery
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,22 +100,65 @@ def test_stacked_transforms_match_rows_bitwise(op_headline):
 
 
 def test_lazy_transforms_match_scipy_bitwise(monkeypatch):
-    # the binding is scipy.fft._pocketfft, the backend scipy.fft dispatches
-    # to; an inverse computed as scipy.fftpack.dst(x, type=3) / (2 n) differs
-    # in the last bits when n is not a power of two
+    # dst/idst make the pocketfft call scipy.fft.dst/idst make, so every bit
+    # is theirs, into a fresh array or into ``out``; an inverse computed as
+    # scipy.fftpack.dst(x, type=3) / (2 n) differs in the last bits when n is
+    # not a power of two
     import scipy.fft
 
     from sddlab import spectral
+    monkeypatch.setattr(spectral, "_pfft", None)  # before the first transform
     rng = np.random.default_rng(5)
     for name in ("dst", "idst"):
-        monkeypatch.setattr(spectral, "_fft", None)  # before the first transform
-        # the first call loads scipy.fft, the later ones reuse it
         for n in (37, 64, 100, 128):
             for shape in ((n,), (3, n), (2, 5, n)):
                 x = rng.normal(size=shape)
-                ours = getattr(spectral, name)(x, type=2)
-                assert ours.tobytes() == getattr(scipy.fft, name)(x, type=2).tobytes()
-        assert spectral._fft is scipy.fft._pocketfft
+                want = getattr(scipy.fft, name)(x, type=2).tobytes()
+                assert getattr(spectral, name)(x, type=2).tobytes() == want
+                out = np.empty_like(x)
+                assert getattr(spectral, name)(x, out=out) is out
+                assert out.tobytes() == want
+    assert spectral._pfft is scipy.fft._pocketfft.realtransforms.pfft
+
+
+# a first transform, then scipy.fft: one extension object serves both
+SHARED_CHILD = """
+import sys
+import numpy as np
+from sddlab import spectral
+spectral.dst(np.ones((2, 8)))
+assert not any(m.startswith("scipy") and m != spectral._PFFT_NAME for m in sys.modules)
+import scipy.fft
+from scipy.fft._pocketfft import basic, realtransforms
+assert sys.modules[spectral._PFFT_NAME] is spectral._pfft
+assert realtransforms.pfft is spectral._pfft and basic.pfft is spectral._pfft
+"""
+
+
+def test_first_transform_and_scipy_fft_share_the_module():
+    src = str(Path(s.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SHARED_CHILD], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_pocketfft_names_the_search(monkeypatch, tmp_path):
+    from sddlab import spectral
+    monkeypatch.setattr(spectral, "_pfft", None)
+    monkeypatch.delitem(sys.modules, spectral._PFFT_NAME, raising=False)
+    # scipy's directory holds no compiled module: the error names it
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    where = os.path.join(str(tmp_path), "fft", "_pocketfft")
+    with pytest.raises(ImportError, match=f"no compiled pypocketfft module in {re.escape(where)}$"):
+        spectral.dst(np.ones(4))
+    # no scipy at all
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed: no scipy package on sys.path"):
+        spectral.idst(np.ones(4))
+    assert spectral._pfft is None
 
 
 def test_transforms_skip_scipy_fft_dispatch(pi_problem, op_pi, monkeypatch):
