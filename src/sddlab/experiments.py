@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .history import (HistorySegment, _snapshot_l1, _snapshot_l2, _theta_dot,
 from .kernel import (KernelVariant, combine_profiles, gates, l11_constant,
                      sign_masses)
 from .nonlinear import b_eval
-from .solver import ProblemSpec, evolve, steps_for_horizon
+from .solver import ProblemSpec, evolve, sample_count, steps_for_horizon
 from .spectral import (GridField, ModeVector, OperatorSpec, field_l2_norm,
                        forward, inverse)
 
@@ -206,21 +206,32 @@ def cone_sign(family: str, cone: str) -> float:
 
 def _evolve_batched(problem: ProblemSpec, cfg: ExperimentConfig,
                     data: Iterable[tuple], variants: tuple,
-                    record_fields: bool = False) -> Iterator[list]:
+                    observe: Optional[Callable] = None) -> Iterator[list]:
     """``evolve`` over ``data``, tuples of histories whose position j steps
     under ``variants[j]``, to the horizon and at the stride of ``cfg``: one
     call per BATCH_ROWS rows of data (at least one datum), laid out as
     [position 0 of every datum, then position 1, ...].  Yields each datum's
     records in order; a failure is the one that stepping a batch one
-    position at a time would raise first."""
+    position at a time would raise first.
+
+    ``observe(data_rows, index, states)``, if given, sees every sample of
+    every call: ``data_rows`` is the slice of the call's data in ``data``
+    and ``states`` the read-only (len(variants), n, n_x) view of the
+    sample's states, position j of datum ``data_rows.start + i`` at [j, i]."""
     steps = steps_for_horizon(problem.kernel, cfg.horizon)
-    it = iter(data)
+    it, first = iter(data), 0
     while batch := list(islice(it, max(1, BATCH_ROWS // len(variants)))):
+        data_rows = slice(first, first + len(batch))
+
+        def observe_call(index: int, states: np.ndarray):
+            observe(data_rows, index, states.reshape(len(variants), len(batch), -1))
+
         recs = evolve(problem, [phi for column in zip(*batch) for phi in column],
-                      steps, stride=cfg.stride, record_fields=record_fields,
-                      variants=[var for var in variants for _ in batch])
+                      steps, stride=cfg.stride,
+                      variants=[var for var in variants for _ in batch],
+                      observe=observe_call if observe else None)
         yield from (recs[i::len(batch)] for i in range(len(batch)))
-        del recs  # free this call's states before the next call steps
+        first = data_rows.stop
 
 
 def run_cone_invariance(problem: ProblemSpec, cfg: ExperimentConfig,
@@ -275,11 +286,18 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
             phi = _negate_node(phi, cfg.amplitude) if i == cfg.trials else phi
             yield phi, phi
 
-    recs = _evolve_batched(problem, cfg, data(), (KernelVariant.FULL, one_sided),
-                           record_fields=True)
-    # map, unlike a loop variable, keeps no datum's records while the next call steps
-    dists = list(map(lambda pair: float(_snapshot_l2(
-        pair[0].fields - pair[1].fields, problem.operator.h_x).max()), recs))
+    # each datum's running max over its samples of the L2 distance
+    max_dist = np.zeros(cfg.trials + witness)
+
+    def observe(data_rows: slice, index: int, states: np.ndarray):
+        full, one = states
+        np.maximum(max_dist[data_rows], _snapshot_l2(full - one, problem.operator.h_x),
+                   out=max_dist[data_rows])
+
+    for _ in _evolve_batched(problem, cfg, data(), (KernelVariant.FULL, one_sided),
+                             observe):
+        pass
+    dists = max_dist.tolist()
     rows = [{"trial": i, "distance": dist, "informational": False,
              "passed": dist == 0.0} for i, dist in enumerate(dists[:cfg.trials])]
     witness_distance = None
@@ -485,17 +503,23 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
         return phi1, HistorySegment(operator=op, r=problem.r, m=problem.m,
                                     values=phi1.values + pert[None, :])
 
+    # each pair's squared full and low-mode difference norms, per sample
+    samples = sample_count(steps_for_horizon(problem.kernel, cfg.horizon), cfg.stride)
+    full2, p2 = np.empty((2, cfg.trials, samples))
+
+    def observe(data_rows: slice, index: int, states: np.ndarray):
+        diff = states[0] - states[1]
+        full2[data_rows, index] = op.h_x * (diff * diff).sum(axis=1)
+        low = forward(op, GridField(diff)).coeffs[:, :N]
+        p2[data_rows, index] = (low * low).sum(axis=1)
+
     def trial(i: int, recs) -> dict:
-        diff = recs[0].fields - recs[1].fields
-        full2 = op.h_x * (diff * diff).sum(axis=1)
         row = {"trial": i, "status": "skipped", "alpha_hat": None, "r2": None,
                "q0": 0.0, "cone_entry_t": None, "n_window": 0}
-        if full2[0] == 0.0:
+        if full2[i, 0] == 0.0:
             return row
-        low = forward(op, GridField(diff)).coeffs[:, :N]
-        p2 = (low * low).sum(axis=1)
-        q = np.sqrt(np.maximum(full2 - p2, 0.0))
-        pn = np.sqrt(p2)
+        q = np.sqrt(np.maximum(full2[i] - p2[i], 0.0))
+        pn = np.sqrt(p2[i])
         t = recs[0].times
         in_cone = q <= pn
         cone_idx = int(np.argmax(in_cone)) if bool(in_cone.any()) else None
@@ -514,8 +538,8 @@ def run_attraction_rate(problem: ProblemSpec, cfg: ExperimentConfig,
         return row
 
     recs = _evolve_batched(problem, cfg, map(pair, range(cfg.trials)),
-                           (KernelVariant.P, KernelVariant.P), record_fields=True)
-    rows = list(map(trial, range(cfg.trials), recs))  # enumerate would keep a pair's records
+                           (KernelVariant.P, KernelVariant.P), observe)
+    rows = [trial(i, pair_recs) for i, pair_recs in enumerate(recs)]
     fits = [row for row in rows if row["status"] == "fit"]
     slaved = [row for row in rows if row["status"] == "slaved"]
     inconclusive = [row for row in rows if row["status"] == "inconclusive"]

@@ -14,7 +14,7 @@ with F the delay forcing frozen at the step start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class _Engine:
 
     def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment],
                  variants: Optional[Sequence[KernelVariant]] = None):
+        if not phis:
+            raise ContractViolation("phis must hold at least one history")
         if variants is None:
             variants = [problem.variant] * len(phis)
         if len(variants) != len(phis):
@@ -86,6 +88,20 @@ class _Engine:
         self.groups = [(variant, slice(rows[0], rows[-1] + 1)
                         if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows))
                        for variant, rows in groups.items()]
+        op, m = problem.operator, problem.m
+        self.problem = problem
+        self.tw = theta_weights(problem.r, m)
+        self.buf = np.empty((2, len(phis), op.grid_points))
+        self.u = self.buf[0]
+        self.spec = np.empty_like(self.buf)
+        self.xi = np.empty((len(phis), m + 1))
+        # the rings are filled in place, one history at a time, each
+        # history's b values and masses into both mirror halves at once: no
+        # stack of the histories and no temporary the size of a ring
+        self.b_rows = np.empty((len(phis), 2 * (m + 1), op.grid_points))
+        self.masses = np.empty((2, len(phis), 2 * (m + 1)))
+        b_halves = self.b_rows.reshape(len(phis), 2, m + 1, op.grid_points)
+        mass_halves = self.masses.reshape(2, len(phis), 2, m + 1)
         for i, phi in enumerate(phis):
             if phi.operator != problem.operator:
                 raise GridMismatch("initial history uses a different operator grid")
@@ -93,21 +109,11 @@ class _Engine:
                 raise GridMismatch("initial history window does not match the kernel")
             if not np.isfinite(phi.values).all():
                 raise ContractViolation(f"phis[{i}] is not finite")
-        op = problem.operator
-        self.problem = problem
-        self.tw = theta_weights(problem.r, problem.m)
-        values = np.stack([phi.values for phi in phis])
-        self.buf = np.empty((2, len(phis), op.grid_points))
-        self.u = self.buf[0]
-        self.u[...] = values[:, -1]
-        self.spec = np.empty_like(self.buf)
-        self.xi = np.empty((len(phis), problem.m + 1))
-        # overflow in b on absurd data surfaces as IntegrationFailure later
-        with np.errstate(over="ignore", invalid="ignore"):
-            b_rows = b_eval(problem.nonlinearity, values)
-        masses = sign_masses(values, op.h_x)
-        self.b_rows = np.concatenate([b_rows, b_rows], axis=1)
-        self.masses = np.concatenate([masses, masses], axis=-1)
+            self.u[i] = phi.values[-1]
+            # overflow in b on absurd data surfaces as IntegrationFailure later
+            with np.errstate(over="ignore", invalid="ignore"):
+                b_halves[i] = b_eval(problem.nonlinearity, phi.values)
+            mass_halves[:, i] = sign_masses(phi.values, op.h_x)[:, None]
         self.head = 0
         lam = full_discrete_eigenvalues(op)
         h = problem.h
@@ -164,6 +170,12 @@ class TrajectoryRecord:
     fields: Optional[np.ndarray] = None
 
 
+def sample_count(steps: int, stride: int) -> int:
+    """The samples ``evolve`` takes: step 0, every ``stride``-th step and the
+    last step."""
+    return len(range(0, steps, stride)) + 1
+
+
 # steps whose states evolve holds before it takes their extrema and checks
 # their finiteness in one go; no result depends on it, and it must not grow
 # with ``stride``, since the block holds BLOCK x B x n_x floats
@@ -172,12 +184,19 @@ BLOCK = 16
 
 def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
            stride: int = 10, record_fields: bool = False,
-           variants: Optional[Sequence[KernelVariant]] = None
+           variants: Optional[Sequence[KernelVariant]] = None,
+           observe: Optional[Callable[[int, np.ndarray], None]] = None
            ) -> list[TrajectoryRecord]:
     """Run ``steps`` steps from every history in ``phis`` in lockstep,
     sampling every ``stride`` steps; returns one record per history.
     ``variants`` gives each history its kernel variant (default: every
     history steps under ``problem.variant``).
+
+    ``observe(index, states)``, if given, is called at every sample with the
+    sample's index and the read-only (B, n_x) states of every row, a view
+    that later steps overwrite: an observer that keeps them must copy them.
+    ``record_fields=True`` is the built-in observer that copies them into
+    each record's ``fields``; it takes the place of ``observe``.
 
     Deterministic and batch invariant: each record is bitwise the record of a
     batch of one.  A row whose state goes non-finite is left behind while the
@@ -189,17 +208,25 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     """
     require_int("steps", steps, 0)
     require_int("stride", stride, 1)
+    if record_fields and observe is not None:
+        raise ContractViolation("pass record_fields or observe, not both")
 
     eng = _Engine(problem, phis, variants)
     h = problem.h
     times = []
-    # each row's (n_samples, n_x) states, written in place as they are sampled
-    fields = (np.empty((len(phis), steps // stride + 1 + (steps % stride > 0),
-                        eng.u.shape[1])) if record_fields else [None] * len(phis))
+    fields = [None] * len(phis)
+    if record_fields:
+        # each row's (n_samples, n_x) states, written in place as they are sampled
+        fields = np.empty((len(phis), sample_count(steps, stride), eng.u.shape[1]))
+
+        def observe(index: int, states: np.ndarray):
+            fields[:, index] = states
 
     def sample(k: int, u: np.ndarray):
-        if record_fields:
-            fields[:, len(times)] = u
+        if observe is not None:
+            states = u.view()
+            states.flags.writeable = False
+            observe(len(times), states)
         times.append(k * h)
 
     u = eng.u

@@ -5,7 +5,7 @@ import os
 import platform
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +14,8 @@ import pytest
 
 import sddlab as s
 from sddlab.errors import ContractViolation
-from sddlab.spectral import full_discrete_eigenvalues
+from sddlab.history import _snapshot_l2
+from sddlab.spectral import forward, full_discrete_eigenvalues
 
 from reference import delay_term, eval_xi, norm_C, norm_L1L1
 
@@ -642,26 +643,66 @@ def test_evolve_calls_within_batch_rows(pi_problem, monkeypatch, batch_rows):
 
 
 @pytest.mark.parametrize("runner", ["coincidence", "attraction"])
-def test_one_call_of_sampled_states_alive(pi_problem, monkeypatch, runner):
-    # a call's records are views of its one (rows, samples, n_x) buffer; the
-    # runner and its consumer free it before the next call steps, so the
-    # peak holds one call's states, not two
-    evolve, buffers = s.experiments.evolve, []
+def test_runner_peak_memory_flat_in_horizon(pi_problem, runner):
+    # each sample is reduced as it is taken, so a call holds no sampled
+    # states and the peak does not grow with the horizon; holding them
+    # added rows x samples x n_x floats, about 1.45 times the peak at T=1
+    def run(horizon):
+        cfg = s.ExperimentConfig(trials=3, seed=3, horizon=horizon,
+                                 amplitude=0.5)
+        if runner == "coincidence":  # three trials and the witness
+            s.run_coincidence(pi_problem, cfg)
+        else:
+            s.run_attraction_rate(pi_problem, cfg, 3)
+
+    run(1.0)  # warm every cache a run fills
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for horizon in (1.0, 4.0):
+            tracemalloc.reset_peak()
+            run(horizon)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks[4.0] < 1.05 * peaks[1.0], peaks
+
+
+def test_no_runner_records_fields(pi_problem, monkeypatch):
+    # no runner asks evolve for its sampled states: coincidence and
+    # attraction stream them through an observer, cone reads the extrema
+    evolve, calls = s.experiments.evolve, []
 
     def noting_evolve(problem, phis, steps, **kwargs):
-        assert [buf() for buf in buffers] == [None] * len(buffers)
-        recs = evolve(problem, phis, steps, **kwargs)
-        buffers.append(weakref.ref(recs[0].fields.base))
-        return recs
+        calls.append(kwargs)
+        return evolve(problem, phis, steps, **kwargs)
 
-    monkeypatch.setattr(s.experiments, "BATCH_ROWS", 4)
     monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
-    cfg = s.ExperimentConfig(trials=5, seed=3, horizon=0.02, amplitude=0.5)
-    if runner == "coincidence":  # five trials and the witness, two per call
-        s.run_coincidence(pi_problem, cfg)
-    else:  # five pairs, two per call
-        s.run_attraction_rate(pi_problem, cfg, 3)
-    assert len(buffers) == 3
+    cfg = s.ExperimentConfig(trials=2, seed=3, horizon=0.02, amplitude=0.5)
+    for run, observed in (
+            (lambda: s.run_cone_invariance(pi_problem, cfg), False),
+            (lambda: s.run_coincidence(pi_problem, cfg), True),
+            (lambda: s.run_attraction_rate(pi_problem, cfg, 3), True)):
+        calls.clear()
+        run()
+        assert calls
+        for kwargs in calls:
+            assert not kwargs.get("record_fields")
+            assert (kwargs.get("observe") is not None) == observed
+
+
+def test_per_sample_reductions_match_stacked(op_pi):
+    # a runner's observer reduces one sample's (rows, n_x) states; every
+    # reduction is row-wise, so it has the bits of the same reduction over
+    # a row's stacked (samples, n_x) states
+    states = np.random.default_rng(9).normal(size=(40, 6, op_pi.grid_points))
+    per_row = states.transpose(1, 0, 2).copy()
+    l2 = np.stack([_snapshot_l2(sample, op_pi.h_x) for sample in states], axis=1)
+    coeffs = np.stack([forward(op_pi, s.GridField(sample)).coeffs
+                       for sample in states], axis=1)
+    for i, rows in enumerate(per_row):
+        assert l2[i].tobytes() == _snapshot_l2(rows, op_pi.h_x).tobytes()
+        assert coeffs[i].tobytes() == forward(op_pi, s.GridField(rows)).coeffs.tobytes()
 
 
 def test_emit_roundtrip_and_determinism(pi_problem, small_cfg, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 import sddlab as s
 from sddlab.errors import ContractViolation, GridMismatch, IntegrationFailure
 from sddlab.kernel import gates, sign_masses
+from sddlab.nonlinear import b_eval
 from sddlab.solver import _Engine
 from sddlab.spectral import full_discrete_eigenvalues
 
@@ -407,6 +408,58 @@ def test_integration_failure_step_index(op_headline, headline_kernel, nl):
     assert exc.value.step_index == 1 and exc.value.row == 0
     assert exc.value.t == prob.h
     assert "step 1" in str(exc.value)
+
+
+def test_engine_builds_its_rings_in_place(headline_problem, op_headline):
+    # each history is written straight into the rings, so building an engine
+    # at B=64 peaks near the bytes of its two rings; stacking the histories,
+    # then b and the masses of the stack, then their mirrored concatenation
+    # peaked at about 2.5 times them
+    ks, nl = headline_problem.kernel, headline_problem.nonlinearity
+    values = np.random.default_rng(5).normal(
+        size=(64, ks.m + 1, op_headline.grid_points))
+    phis = [s.HistorySegment(op_headline, ks.r, ks.m, v) for v in values]
+    _Engine(headline_problem, phis[:1])  # warm the cached weights
+    tracemalloc.start()
+    try:
+        eng = _Engine(headline_problem, phis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (eng.b_rows.nbytes + eng.masses.nbytes)
+    # both mirror halves hold the bits of b and the masses of the stack
+    b, masses = b_eval(nl, values), sign_masses(values, op_headline.h_x)
+    for half in (slice(None, ks.m + 1), slice(ks.m + 1, None)):
+        assert eng.b_rows[:, half].tobytes() == b.tobytes()
+        assert eng.masses[..., half].tobytes() == masses.tobytes()
+    assert eng.u.tobytes() == values[:, -1].tobytes()
+    with pytest.raises(ContractViolation, match="at least one history"):
+        s.evolve(headline_problem, [], 1)
+
+
+def test_observer_sees_the_recorded_samples(pi_problem, op_pi):
+    # an observer gets, at every sample, its index and read-only (B, n_x)
+    # states with the bits that record_fields=True stores
+    phis = signed_histories(pi_problem, 3, 70)
+    for steps, stride in ((40, 7), (32, 16), (0, 5)):
+        recs = s.evolve(pi_problem, phis, steps, stride, record_fields=True)
+        seen = []
+
+        def observe(index, states):
+            assert not states.flags.writeable
+            seen.append((index, states.copy()))
+
+        plain = s.evolve(pi_problem, phis, steps, stride, observe=observe)
+        assert [index for index, _ in seen] == list(range(len(recs[0].times)))
+        stacked = np.stack([states for _, states in seen], axis=1)
+        for i, (rec, other) in enumerate(zip(recs, plain)):
+            assert stacked[i].tobytes() == rec.fields.tobytes()
+            assert other.fields is None
+            assert other.times.tobytes() == rec.times.tobytes()
+            assert repr((other.min_overall, other.max_overall)) == repr(
+                (rec.min_overall, rec.max_overall))
+    with pytest.raises(ContractViolation, match="not both"):
+        s.evolve(pi_problem, phis, 1, record_fields=True, observe=print)
 
 
 def test_engine_grid_mismatch(headline_problem, op_headline):
