@@ -32,7 +32,8 @@ from .spectral import (GridField, OperatorSpec, analytic_eigenvalues,
 
 _REQUIRED = object()
 
-# the most trial-steps one command may run: about 3 h at 10 us per trial-step.
+# the most trial-steps one command may run: 1.7-2.5 h at the 6-9 us per
+# trial-step of a batched headline step (B = 8 to 256).
 # A step costs about as much for 1 row as for 8 (call overhead, not
 # arithmetic), so a run of fewer rows is billed as MIN_BILLED_ROWS rows.
 MAX_TRIAL_STEPS = 10**9

@@ -35,7 +35,10 @@ FAMILIES = ("random_positive_fourier", "random_signed_fourier",
             "gaussian_bumps", "constant")
 POSITIVE_FAMILIES = ("random_positive_fourier", "gaussian_bumps", "constant")
 
-BATCH_ROWS = 64  # rows per evolve call; bounds memory, results do not depend on it
+# rows per evolve call; results do not depend on it.  It bounds the rings and
+# histories of one call: the runners reduce each sample as it is taken and
+# keep no sampled states
+BATCH_ROWS = 64
 # Lipschitz pairs drawn and evaluated together; results do not depend on it.
 # Measured on headline: 3 or 4 pairs are a little faster than 2, but each
 # pair adds 3 segments (52 KB each) to the buffer and 2 to every temporary

@@ -196,7 +196,7 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
     sample's index and the read-only (B, n_x) states of every row, a view
     that later steps overwrite: an observer that keeps them must copy them.
     ``record_fields=True`` is the built-in observer that copies them into
-    each record's ``fields``; it takes the place of ``observe``.
+    each record's ``fields``; pass it or ``observe``, not both.
 
     Deterministic and batch invariant: each record is bitwise the record of a
     batch of one.  A row whose state goes non-finite is left behind while the

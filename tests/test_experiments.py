@@ -622,24 +622,29 @@ def test_attraction_failure_step_of_two_runs(pi_problem, monkeypatch,
 @pytest.mark.parametrize("batch_rows", [1, 3, 4, 64])
 def test_evolve_calls_within_batch_rows(pi_problem, monkeypatch, batch_rows):
     # every runner's evolve call takes at most BATCH_ROWS rows, or one
-    # datum's rows when a datum is wider
-    evolve, rows = s.experiments.evolve, []
+    # datum's rows when a datum is wider.  No runner asks for the sampled
+    # states: coincidence and attraction stream them through an observer
+    evolve, rows, observed = s.experiments.evolve, [], []
 
     def noting_evolve(problem, phis, steps, **kwargs):
+        assert not kwargs.get("record_fields")
         rows.append(len(phis))
+        observed.append(kwargs.get("observe") is not None)
         return evolve(problem, phis, steps, **kwargs)
 
     monkeypatch.setattr(s.experiments, "BATCH_ROWS", batch_rows)
     monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
     cfg = s.ExperimentConfig(trials=7, seed=3, horizon=0.02, amplitude=0.5)
-    for run, width, data in (
-            (lambda: s.run_cone_invariance(pi_problem, cfg), 1, 7),
-            (lambda: s.run_coincidence(pi_problem, cfg), 2, 8),
-            (lambda: s.run_attraction_rate(pi_problem, cfg, 3), 2, 7)):
+    for run, width, data, streams in (
+            (lambda: s.run_cone_invariance(pi_problem, cfg), 1, 7, False),
+            (lambda: s.run_coincidence(pi_problem, cfg), 2, 8, True),
+            (lambda: s.run_attraction_rate(pi_problem, cfg, 3), 2, 7, True)):
         rows.clear()
+        observed.clear()
         run()
         assert sum(rows) == width * data
         assert max(rows) <= max(batch_rows, width)
+        assert observed == [streams] * len(rows)
 
 
 @pytest.mark.parametrize("runner", ["coincidence", "attraction"])
@@ -666,29 +671,6 @@ def test_runner_peak_memory_flat_in_horizon(pi_problem, runner):
     finally:
         tracemalloc.stop()
     assert peaks[4.0] < 1.05 * peaks[1.0], peaks
-
-
-def test_no_runner_records_fields(pi_problem, monkeypatch):
-    # no runner asks evolve for its sampled states: coincidence and
-    # attraction stream them through an observer, cone reads the extrema
-    evolve, calls = s.experiments.evolve, []
-
-    def noting_evolve(problem, phis, steps, **kwargs):
-        calls.append(kwargs)
-        return evolve(problem, phis, steps, **kwargs)
-
-    monkeypatch.setattr(s.experiments, "evolve", noting_evolve)
-    cfg = s.ExperimentConfig(trials=2, seed=3, horizon=0.02, amplitude=0.5)
-    for run, observed in (
-            (lambda: s.run_cone_invariance(pi_problem, cfg), False),
-            (lambda: s.run_coincidence(pi_problem, cfg), True),
-            (lambda: s.run_attraction_rate(pi_problem, cfg, 3), True)):
-        calls.clear()
-        run()
-        assert calls
-        for kwargs in calls:
-            assert not kwargs.get("record_fields")
-            assert (kwargs.get("observe") is not None) == observed
 
 
 def test_per_sample_reductions_match_stacked(op_pi):
