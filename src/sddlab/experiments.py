@@ -39,9 +39,10 @@ POSITIVE_FAMILIES = ("random_positive_fourier", "gaussian_bumps", "constant")
 # histories of one call: the runners reduce each sample as it is taken and
 # keep no sampled states
 BATCH_ROWS = 64
-# Lipschitz pairs drawn and evaluated together; results do not depend on it.
-# Measured on headline: 3 or 4 pairs are a little faster than 2, but each
-# pair adds 3 segments (52 KB each) to the buffer and 2 to every temporary
+# Lipschitz pairs drawn and put through phase 1 together; results do not
+# depend on it.  Measured on headline (60-pair jobs): 2 and 4 are fastest,
+# 12.5 and 12.7 ms, against 14.0, 13.1, 13.3 and 15.8 ms at 1, 3, 5 and 6;
+# each pair adds 3 segments (52 KB each) to the buffer and 2 to every temporary
 PAIR_CHUNK = 2
 PAIR_KINDS = ("independent", "scaled", "near")
 CONE_TOL = 1e-12
@@ -318,55 +319,66 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
                             trials=rows, summary=summary)
 
 
-def _pair_evaluator(problem: ProblemSpec, chunk: int):
-    """The Lipschitz check of ``problem`` as a function of a (2, P, m+1, n_x)
-    stack of P <= ``chunk`` pairs (v1, v2) = pairs.
-
-    It returns the C norm of v1 - v2 and the columns of a checked pair: every
-    variant's ``kernel_ratio_*`` against its l11, ``b1_ratio`` for
-    ``problem.variant`` against its M1, and ``passed``.  ``sign_masses``,
-    ``gates`` and ``b_eval`` run once on the 2P segments, and per-row matmuls
-    take the theta dots, window products and norms, so each row has the bits
-    of the serial oracles in tests/reference.py on its own pair.  A ratio
-    with numerator 0 is 0, so a pair with v1 == v2 has C norm 0 and ratios
-    0; callers mask it.
-    """
+def _pair_scalars(problem: ProblemSpec, chunk: int):
+    """Phase 1 of the Lipschitz check on a (2, P, m+1, n_x) stack of P <=
+    ``chunk`` pairs (v1, v2): the (2, 2, P) gates [(+, -)][(v1, v2)], the C
+    and L1L1 norms of v1 - v2 and the L2 norm of B1(v1) - B1(v2), each pair
+    with the bits of the serial oracles in tests/reference.py."""
     op, ks = problem.operator, problem.kernel
     tw = theta_weights(ks.r, ks.m)
-    l11 = {var: l11_constant(ks, var) for var in KernelVariant}
-    m1 = lipschitz_M1(problem)
     # the (2P, m+1, n_x) temporaries of sign_masses and b_eval, allocated
     # once: fresh ones are past glibc's mmap threshold unless an earlier
     # large free has raised it, and each chunk would page-fault them again
     scratch = np.empty((2, 2 * chunk, ks.m + 1, op.grid_points))
 
-    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
-
-    def evaluate(pairs: np.ndarray) -> tuple[np.ndarray, dict]:
+    def scalars(pairs: np.ndarray) -> tuple:
         P = pairs.shape[1]
         both = pairs.reshape(2 * P, *pairs.shape[2:])
         work = scratch[:, :2 * P]
-        masses = sign_masses(both, op.h_x, scratch=work[0])
-        s_plus, s_minus = gates(tw, masses)[..., None]
-        # the C and L1L1 norms of v1 - v2, per pair
+        g = gates(tw, sign_masses(both, op.h_x, scratch=work[0]))
         delta = pairs[0] - pairs[1]
         dC = _snapshot_l2(delta, op.h_x).max(axis=-1)
         d11 = _theta_dot(tw, _snapshot_l1(delta, op.h_x))
-        cols = {}
-        for var in KernelVariant:
-            xi = combine_profiles(ks, s_plus, s_minus, var)
-            if var is problem.variant:
-                b1 = np.matmul((tw * xi)[:, None, :],
-                               b_eval(problem.nonlinearity, both, scratch=work))[:, 0]
-            cols[f"kernel_ratio_{var.value}"] = ratio(
-                _theta_dot(tw, np.abs(xi[:P] - xi[P:])), l11[var] * d11)
-        cols["b1_ratio"] = ratio(
-            field_l2_norm(op, GridField(b1[:P] - b1[P:])), m1 * dC)
-        cols["passed"] = cols["b1_ratio"] <= 1.0 + B1_TOL
-        for var in KernelVariant:
-            cols["passed"] &= cols[f"kernel_ratio_{var.value}"] <= 1.0 + KERNEL_TOL
-        return dC, cols
+        xi = combine_profiles(ks, *g[..., None], problem.variant)
+        b1 = np.matmul((tw * xi)[:, None, :],
+                       b_eval(problem.nonlinearity, both, scratch=work))[:, 0]
+        dB = field_l2_norm(op, GridField(b1[:P] - b1[P:]))
+        return g.reshape(2, 2, P), dC, d11, dB
+
+    return scalars
+
+
+def _pair_columns(problem: ProblemSpec, g: np.ndarray, dC: np.ndarray,
+                  d11: np.ndarray, dB: np.ndarray) -> dict:
+    """Phase 2: every ratio and check of T pairs from their phase-1 scalars,
+    row by row; a ratio with numerator 0 (v1 == v2) is 0."""
+    ks, T = problem.kernel, len(dC)
+    tw = theta_weights(ks.r, ks.m)
+
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
+
+    s_plus, s_minus = g.reshape(2, 2 * T, 1)
+    cols = {}
+    for var in KernelVariant:
+        xi = combine_profiles(ks, s_plus, s_minus, var)
+        cols[f"kernel_ratio_{var.value}"] = ratio(
+            _theta_dot(tw, np.abs(xi[:T] - xi[T:])), l11_constant(ks, var) * d11)
+    cols["b1_ratio"] = ratio(dB, lipschitz_M1(problem) * dC)
+    cols["passed"] = cols["b1_ratio"] <= 1.0 + B1_TOL
+    for var in KernelVariant:
+        cols["passed"] &= cols[f"kernel_ratio_{var.value}"] <= 1.0 + KERNEL_TOL
+    return cols
+
+
+def _pair_evaluator(problem: ProblemSpec, chunk: int):
+    """Phases 1 and 2 on a stack of P <= ``chunk`` pairs: (C norm of
+    v1 - v2, columns); the caller masks pairs with C norm 0."""
+    scalars = _pair_scalars(problem, chunk)
+
+    def evaluate(pairs: np.ndarray) -> tuple[np.ndarray, dict]:
+        g, dC, d11, dB = scalars(pairs)
+        return dC, _pair_columns(problem, g, dC, d11, dB)
 
     return evaluate
 
@@ -411,31 +423,41 @@ def run_lipschitz_sampling(problem: ProblemSpec,
 
     per variant with its own constants.  Pair types cycle: independent draws,
     a scaled copy, and a nearby perturbation (covers clipped and unclipped
-    gate regimes).  Zero-difference pairs are skipped.  Pairs are drawn
-    (``_draw_pairs``) and evaluated (``_pair_evaluator``) PAIR_CHUNK at a time,
-    in one buffer that every chunk reuses; each row has the bits of its pair
-    evaluated alone by the serial oracles in tests/reference.py, so the rows
-    do not depend on PAIR_CHUNK.
+    gate regimes).  Zero-difference pairs are skipped.  Phase 1
+    (``_pair_scalars``) runs on pairs drawn (``_draw_pairs``) PAIR_CHUNK at a
+    time into one reused buffer and fills the run's per-pair scalars; phase 2
+    (``_pair_columns``) forms every ratio and check from them once per run.
+    Each row has the bits of its pair evaluated alone by the serial oracles
+    in tests/reference.py, so the rows do not depend on PAIR_CHUNK.
     """
-    chunk = min(PAIR_CHUNK, cfg.trials)
+    chunk, T = min(PAIR_CHUNK, cfg.trials), cfg.trials
     # one buffer for every chunk: with fresh stacks per chunk, glibc trimmed
     # the heap after each chunk and the next one page-faulted it back
     work = np.empty((3 * chunk, problem.m + 1, problem.operator.grid_points))
-    evaluate, rows = _pair_evaluator(problem, chunk), []
-    for start in range(0, cfg.trials, chunk):
-        trials = range(start, min(start + chunk, cfg.trials))
-        dC, cols = evaluate(_draw_pairs(problem, cfg, trials, work))
-        cols = {key: col.tolist() for key, col in cols.items()}
-        for j, i in enumerate(trials):
-            row = {"trial": i, "pair": PAIR_KINDS[i % 3]}
-            if dC[j] == 0.0:
-                row.update(status="skipped", b1_ratio=None,
-                           kernel_ratio_full=None, kernel_ratio_p=None,
-                           kernel_ratio_n=None, passed=True)
-            else:
-                row.update(status="ok",
-                           **{key: col[j] for key, col in cols.items()})
-            rows.append(row)
+    scalars = _pair_scalars(problem, chunk)
+    # the run's phase-1 scalars: gates, C, L1L1 and B1 norms
+    run = np.empty((2, 2, T)), np.empty(T), np.empty(T), np.empty(T)
+    for start in range(0, T, chunk):
+        trials = range(start, min(start + chunk, T))
+        for into, part in zip(run, scalars(_draw_pairs(problem, cfg, trials, work))):
+            into[..., start:trials.stop] = part
+    # phase 2 in blocks of chunk * n_x pairs: a variant's (2, m+1) profiles
+    # per pair then fill no more than one plane of phase 1's scratch
+    block, cols = chunk * problem.operator.grid_points, {}
+    for lo in range(0, T, block):
+        part = _pair_columns(problem, *(a[..., lo:lo + block] for a in run))
+        for key, col in part.items():
+            cols.setdefault(key, []).extend(col.tolist())
+    rows = []
+    for i, dC in enumerate(run[1].tolist()):
+        row = {"trial": i, "pair": PAIR_KINDS[i % 3]}
+        if dC == 0.0:
+            row.update(status="skipped", b1_ratio=None,
+                       kernel_ratio_full=None, kernel_ratio_p=None,
+                       kernel_ratio_n=None, passed=True)
+        else:
+            row.update(status="ok", **{key: col[i] for key, col in cols.items()})
+        rows.append(row)
     used = [row for row in rows if row["status"] == "ok"]
     kernel_ratios = [row[f"kernel_ratio_{var.value}"] for row in used
                      for var in KernelVariant]

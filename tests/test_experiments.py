@@ -422,6 +422,48 @@ def test_lipschitz_calls_each_layer_once_per_chunk(headline_problem, monkeypatch
     assert calls == {"sign_masses": 3, "b_eval": 3, "inverse": 3}
 
 
+def test_lipschitz_forms_the_columns_once_per_run(headline_problem, monkeypatch):
+    # phase 1 combines problem.variant's gates once per chunk for B1; phase 2
+    # combines every variant's once, on the gates of all 2T segments
+    shapes = []
+    combine = s.experiments.combine_profiles
+
+    def counting(spec, s_plus, s_minus, variant):
+        shapes.append(np.shape(s_plus))
+        return combine(spec, s_plus, s_minus, variant)
+
+    monkeypatch.setattr(s.experiments, "combine_profiles", counting)
+    chunk = s.experiments.PAIR_CHUNK
+    trials = 2 * chunk + 1
+    cfg = s.ExperimentConfig(trials=trials, seed=4, horizon=1.0)
+    assert s.run_lipschitz_sampling(headline_problem, cfg).passed
+    assert len(shapes) == 3 + len(s.KernelVariant)
+    assert shapes[3:] == [(2 * trials, 1)] * len(s.KernelVariant)
+
+
+@pytest.mark.parametrize("family, amplitude", LIPSCHITZ_FAMILIES)
+def test_lipschitz_rows_are_the_evaluator_columns(headline_problem, monkeypatch,
+                                                 family, amplitude):
+    # one evaluation path: the sampler's rows are _pair_evaluator's columns
+    # on the same draws, also when phase 2 runs in blocks (chunk 1 at 2 n_x + 1
+    # pairs takes three)
+    ex, n_x = s.experiments, headline_problem.operator.grid_points
+    for chunk, trials in ((ex.PAIR_CHUNK, 61), (1, 2 * n_x + 1)):
+        monkeypatch.setattr(ex, "PAIR_CHUNK", chunk)
+        cfg = s.ExperimentConfig(trials=trials, seed=4, horizon=1.0,
+                                 family=family, amplitude=amplitude)
+        rows = s.run_lipschitz_sampling(headline_problem, cfg).trials
+        work = np.empty((3 * trials, headline_problem.m + 1, n_x))
+        dC, cols = ex._pair_evaluator(headline_problem, trials)(
+            ex._draw_pairs(headline_problem, cfg, range(trials), work))
+        assert len(rows) == trials
+        for row, dc in zip(rows, dC):
+            assert row["status"] == ("skipped" if dc == 0.0 else "ok")
+            if dc != 0.0:
+                assert {key: row[key] for key in cols} == \
+                    {key: col[row["trial"]].item() for key, col in cols.items()}
+
+
 # 20 headline Lipschitz jobs of 60 pairs after a warm-up one, in a process
 # that never imports scipy; prints the minor page faults per job
 FAULTS_CHILD = """
