@@ -32,10 +32,10 @@ from .spectral import (GridField, OperatorSpec, analytic_eigenvalues,
 
 _REQUIRED = object()
 
-# the most trial-steps one command may run: 1.7-2.5 h at the 6-9 us per
-# trial-step of a batched headline step (B = 8 to 256).
-# A step costs about as much for 1 row as for 8 (call overhead, not
-# arithmetic), so a run of fewer rows is billed as MIN_BILLED_ROWS rows.
+# the most trial-steps one command may run: 1.5-1.9 h at the 5.4-7.0 us per
+# trial-step of a batched headline step (B = 8 to 256, 2-vCPU host).
+# A step costs 29 us for 1 row and 55 us for 8 (mostly call overhead), so a
+# run of fewer rows is billed as MIN_BILLED_ROWS rows: about 1 h at the cap.
 MAX_TRIAL_STEPS = 10**9
 MIN_BILLED_ROWS = 8
 

@@ -273,9 +273,7 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
     with np.errstate(over="ignore", divide="ignore"):
         r_threshold = 4.0 * L_b / (M_b * np.sqrt(L))
 
-    n_r_cap_reject = 0
-    n_window_empty = 0
-    n_flag_reject = 0
+    rejections = {"r_cap": 0, "window_empty": 0, "flags": 0}
 
     for r in r_grid:
         # a row at a time: count its cap rejections, certify the rest in order
@@ -283,8 +281,8 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
         hi, floor = caps["minus_top"], caps["minus_floor"]
         r_capped = r > caps["r_cap"]
         empty = ~r_capped & (floor >= hi)
-        n_r_cap_reject += int(r_capped.sum())
-        n_window_empty += int(empty.sum())
+        rejections["r_cap"] += int(r_capped.sum())
+        rejections["window_empty"] += int(empty.sum())
         ip = (1.0 - margin) * np.minimum(caps["plus_cap"], hi)
         im = (1.0 - margin) * hi
         im = np.where(im <= floor, 0.5 * (floor + hi), im)
@@ -294,7 +292,7 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                 M_b=M_b, L_b=L_b, M_xi=float(mxi_grid[j]),
                 l11_p=ip[j], l11_n=im[j], domain_length=L)
             if flags != PIM_ONLY:
-                n_flag_reject += 1
+                rejections["flags"] += 1
                 continue
             return SynthesisResult(
                 params={
@@ -309,11 +307,6 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                 certificate={**values, **flags}, search=search)
 
     # infeasible: name the binding constraint with the numbers that bind
-    rejections = {
-        "r_cap": n_r_cap_reject,
-        "window_empty": n_window_empty,
-        "flags": n_flag_reject,
-    }
     rs_above = r_grid[r_grid > r_threshold]
     if rs_above.size == 0:
         certificate = {
@@ -325,7 +318,7 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                 "threshold"),
             "rejections": rejections,
         }
-    elif n_flag_reject > 0:
+    elif rejections["flags"] > 0:
         certificate = {
             "binding_constraint": "certificate_flags",
             "r_threshold": float(r_threshold),

@@ -40,9 +40,10 @@ POSITIVE_FAMILIES = ("random_positive_fourier", "gaussian_bumps", "constant")
 # keep no sampled states
 BATCH_ROWS = 64
 # Lipschitz pairs drawn and put through phase 1 together; results do not
-# depend on it.  Measured on headline (60-pair jobs): 2 and 4 are fastest,
-# 12.5 and 12.7 ms, against 14.0, 13.1, 13.3 and 15.8 ms at 1, 3, 5 and 6;
-# each pair adds 3 segments (52 KB each) to the buffer and 2 to every temporary
+# depend on it.  Measured on headline (60-pair jobs): 11.9 ms at 2, against
+# 13.6 ms at 1 and 11.2, 11.3, 11.4 and 11.8 ms at 3 to 6; each pair adds 3
+# segments (52 KB each) to the draw buffer, 4 to the scratch and 2 to every
+# temporary, so 3 would raise a 60-pair job's traced peak from 0.95 to 1.42 MB
 PAIR_CHUNK = 2
 PAIR_KINDS = ("independent", "scaled", "near")
 CONE_TOL = 1e-12
@@ -319,33 +320,27 @@ def run_coincidence(problem: ProblemSpec, cfg: ExperimentConfig,
                             trials=rows, summary=summary)
 
 
-def _pair_scalars(problem: ProblemSpec, chunk: int):
-    """Phase 1 of the Lipschitz check on a (2, P, m+1, n_x) stack of P <=
-    ``chunk`` pairs (v1, v2): the (2, 2, P) gates [(+, -)][(v1, v2)], the C
-    and L1L1 norms of v1 - v2 and the L2 norm of B1(v1) - B1(v2), each pair
-    with the bits of the serial oracles in tests/reference.py."""
+def _pair_scalars(problem: ProblemSpec, pairs: np.ndarray,
+                  scratch: np.ndarray) -> tuple:
+    """Phase 1 of the Lipschitz check on a (2, P, m+1, n_x) stack of pairs
+    (v1, v2), sign_masses and b_eval writing into a (2, >= 2P, m+1, n_x)
+    ``scratch``: the (2, 2, P) gates [(+, -)][(v1, v2)], the C and L1L1 norms
+    of v1 - v2 and the L2 norm of B1(v1) - B1(v2), each pair with the bits of
+    the serial oracles in tests/reference.py."""
     op, ks = problem.operator, problem.kernel
     tw = theta_weights(ks.r, ks.m)
-    # the (2P, m+1, n_x) temporaries of sign_masses and b_eval, allocated
-    # once: fresh ones are past glibc's mmap threshold unless an earlier
-    # large free has raised it, and each chunk would page-fault them again
-    scratch = np.empty((2, 2 * chunk, ks.m + 1, op.grid_points))
-
-    def scalars(pairs: np.ndarray) -> tuple:
-        P = pairs.shape[1]
-        both = pairs.reshape(2 * P, *pairs.shape[2:])
-        work = scratch[:, :2 * P]
-        g = gates(tw, sign_masses(both, op.h_x, scratch=work[0]))
-        delta = pairs[0] - pairs[1]
-        dC = _snapshot_l2(delta, op.h_x).max(axis=-1)
-        d11 = _theta_dot(tw, _snapshot_l1(delta, op.h_x))
-        xi = combine_profiles(ks, *g[..., None], problem.variant)
-        b1 = np.matmul((tw * xi)[:, None, :],
-                       b_eval(problem.nonlinearity, both, scratch=work))[:, 0]
-        dB = field_l2_norm(op, GridField(b1[:P] - b1[P:]))
-        return g.reshape(2, 2, P), dC, d11, dB
-
-    return scalars
+    P = pairs.shape[1]
+    both = pairs.reshape(2 * P, *pairs.shape[2:])
+    work = scratch[:, :2 * P]
+    g = gates(tw, sign_masses(both, op.h_x, scratch=work[0]))
+    delta = pairs[0] - pairs[1]
+    dC = _snapshot_l2(delta, op.h_x).max(axis=-1)
+    d11 = _theta_dot(tw, _snapshot_l1(delta, op.h_x))
+    xi = combine_profiles(ks, *g[..., None], problem.variant)
+    b1 = np.matmul((tw * xi)[:, None, :],
+                   b_eval(problem.nonlinearity, both, scratch=work))[:, 0]
+    dB = field_l2_norm(op, GridField(b1[:P] - b1[P:]))
+    return g.reshape(2, 2, P), dC, d11, dB
 
 
 def _pair_columns(problem: ProblemSpec, g: np.ndarray, dC: np.ndarray,
@@ -371,16 +366,12 @@ def _pair_columns(problem: ProblemSpec, g: np.ndarray, dC: np.ndarray,
     return cols
 
 
-def _pair_evaluator(problem: ProblemSpec, chunk: int):
-    """Phases 1 and 2 on a stack of P <= ``chunk`` pairs: (C norm of
-    v1 - v2, columns); the caller masks pairs with C norm 0."""
-    scalars = _pair_scalars(problem, chunk)
-
-    def evaluate(pairs: np.ndarray) -> tuple[np.ndarray, dict]:
-        g, dC, d11, dB = scalars(pairs)
-        return dC, _pair_columns(problem, g, dC, d11, dB)
-
-    return evaluate
+def _pair_evaluator(problem: ProblemSpec, pairs: np.ndarray) -> tuple:
+    """Phases 1 and 2 on a (2, P, m+1, n_x) stack of pairs, with scratch of
+    its size: (C norm of v1 - v2, columns); the caller masks C norm 0 pairs."""
+    scratch = np.empty((2, 2 * pairs.shape[1], *pairs.shape[2:]))
+    g, dC, d11, dB = _pair_scalars(problem, pairs, scratch)
+    return dC, _pair_columns(problem, g, dC, d11, dB)
 
 
 def _draw_pairs(problem: ProblemSpec, cfg: ExperimentConfig, trials: range,
@@ -425,33 +416,35 @@ def run_lipschitz_sampling(problem: ProblemSpec,
     a scaled copy, and a nearby perturbation (covers clipped and unclipped
     gate regimes).  Zero-difference pairs are skipped.  Phase 1
     (``_pair_scalars``) runs on pairs drawn (``_draw_pairs``) PAIR_CHUNK at a
-    time into one reused buffer and fills the run's per-pair scalars; phase 2
-    (``_pair_columns``) forms every ratio and check from them once per run.
-    Each row has the bits of its pair evaluated alone by the serial oracles
-    in tests/reference.py, so the rows do not depend on PAIR_CHUNK.
+    time into the run's one buffer, with its one scratch, and writes the
+    run's per-pair scalars; phase 2 (``_pair_columns``) forms every ratio and
+    check from them once per run.  Each row has the bits of its pair
+    evaluated alone by the serial oracles in tests/reference.py, so the rows
+    do not depend on PAIR_CHUNK.
     """
     chunk, T = min(PAIR_CHUNK, cfg.trials), cfg.trials
-    # one buffer for every chunk: with fresh stacks per chunk, glibc trimmed
-    # the heap after each chunk and the next one page-faulted it back
+    # the draw buffer and phase 1's scratch, allocated once per run: fresh
+    # ones per chunk are past glibc's mmap threshold unless an earlier large
+    # free has raised it, so each chunk would page-fault them again
     work = np.empty((3 * chunk, problem.m + 1, problem.operator.grid_points))
-    scalars = _pair_scalars(problem, chunk)
+    scratch = np.empty((2, 2 * chunk, problem.m + 1, problem.operator.grid_points))
     # the run's phase-1 scalars: gates, C, L1L1 and B1 norms
-    run = np.empty((2, 2, T)), np.empty(T), np.empty(T), np.empty(T)
+    g, dC, d11, dB = np.empty((2, 2, T)), np.empty(T), np.empty(T), np.empty(T)
     for start in range(0, T, chunk):
-        trials = range(start, min(start + chunk, T))
-        for into, part in zip(run, scalars(_draw_pairs(problem, cfg, trials, work))):
-            into[..., start:trials.stop] = part
+        at = slice(start, start + chunk)
+        g[..., at], dC[at], d11[at], dB[at] = _pair_scalars(
+            problem, _draw_pairs(problem, cfg, range(T)[at], work), scratch)
     # phase 2 in blocks of chunk * n_x pairs: a variant's (2, m+1) profiles
     # per pair then fill no more than one plane of phase 1's scratch
     block, cols = chunk * problem.operator.grid_points, {}
     for lo in range(0, T, block):
-        part = _pair_columns(problem, *(a[..., lo:lo + block] for a in run))
+        part = _pair_columns(problem, *(a[..., lo:lo + block] for a in (g, dC, d11, dB)))
         for key, col in part.items():
             cols.setdefault(key, []).extend(col.tolist())
     rows = []
-    for i, dC in enumerate(run[1].tolist()):
+    for i, dc in enumerate(dC.tolist()):
         row = {"trial": i, "pair": PAIR_KINDS[i % 3]}
-        if dC == 0.0:
+        if dc == 0.0:
             row.update(status="skipped", b1_ratio=None,
                        kernel_ratio_full=None, kernel_ratio_p=None,
                        kernel_ratio_n=None, passed=True)

@@ -66,11 +66,10 @@ def steps_for_horizon(kernel: KernelSpec, T: float) -> int:
 class _Engine:
     """Lockstep stepper behind ``evolve``: a (2, B, n_x) buffer whose row 0
     holds the current states ``u`` and row 1 their forcing, so one DST call
-    transforms both into a second such buffer, ``spec``, plus mirror rings of
-    2(m+1) slots for the per-snapshot b values and sign masses the forcing
-    needs.  A new snapshot goes to slots
-    ``head`` and ``head + m + 1``, so slots ``head:head + m + 1`` always hold
-    the window, oldest first."""
+    transforms both in place, plus mirror rings of 2(m+1) slots for the
+    per-snapshot b values and sign masses the forcing needs.  A new snapshot
+    goes to slots ``head`` and ``head + m + 1``, so slots
+    ``head:head + m + 1`` always hold the window, oldest first."""
 
     def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment],
                  variants: Optional[Sequence[KernelVariant]] = None):
@@ -93,7 +92,6 @@ class _Engine:
         self.tw = theta_weights(problem.r, m)
         self.buf = np.empty((2, len(phis), op.grid_points))
         self.u = self.buf[0]
-        self.spec = np.empty_like(self.buf)
         self.xi = np.empty((len(phis), m + 1))
         # the rings are filled in place, one history at a time, each
         # history's b values and masses into both mirror halves at once: no
@@ -141,7 +139,8 @@ class _Engine:
         buffer.  A row that goes non-finite stays in the stack; the caller
         checks finiteness."""
         self.forcing()
-        a, f = dst(self.buf, out=self.spec)
+        # in place: pocketfft reads each line before it writes it
+        a, f = dst(self.buf, out=self.buf)
         a *= self.E
         f *= self.G
         a += f
