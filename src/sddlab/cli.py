@@ -346,7 +346,7 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         text = json_text({**{key: val.tolist() for key, val in columns.items()},
                           "min_overall": rec.min_overall,
-                          "max_overall": rec.max_overall, "stride": rec.stride})
+                          "max_overall": rec.max_overall, "stride": sim["stride"]})
     else:
         header = ["t", *(f"a_{k}" for k in range(1, n_modes + 1)),
                   "high_norm", "full_norm", "min_value"]

@@ -307,45 +307,33 @@ def synthesize_params(N: int, nonlinearity: NonlinearitySpec, domain_length: flo
                 certificate={**values, **flags}, search=search)
 
     # infeasible: name the binding constraint with the numbers that bind
+    window = "xi_minus window (minus_floor, r*M_xi/2]"
     rs_above = r_grid[r_grid > r_threshold]
+    extra = {}
     if rs_above.size == 0:
-        certificate = {
-            "binding_constraint": "delay_span_grid_below_threshold",
-            "r_threshold": float(r_threshold),
-            "detail": (
-                "the xi_minus window (minus_floor, r*M_xi/2] is empty for every "
-                f"r <= {r_threshold!r} and no r in the search grid exceeds that "
-                "threshold"),
-            "rejections": rejections,
-        }
+        binding = "delay_span_grid_below_threshold"
+        detail = (f"the {window} is empty for every r <= {r_threshold!r} and no "
+                  "r in the search grid exceeds that threshold")
     elif rejections["flags"] > 0:
-        certificate = {
-            "binding_constraint": "certificate_flags",
-            "r_threshold": float(r_threshold),
-            "detail": ("grid points satisfied the structural caps but no point "
-                       "passed every certificate flag"),
-            "rejections": rejections,
-        }
+        binding = "certificate_flags"
+        detail = ("grid points satisfied the structural caps but no point "
+                  "passed every certificate flag")
     else:
         # every grid point died on a structural cap; quantify the squeeze: for
         # r above the threshold the r-cap, symmetric in r and M_xi, bounds M_xi
+        binding = "xi_minus_window_empty"
         mxi_cap = float(remark_caps(lam_N, lam_N1, rs_above, M_b, L_b,
                                     rs_above, L)["r_cap"].max())
-        certificate = {
-            "binding_constraint": "xi_minus_window_empty",
-            "r_threshold": float(r_threshold),
-            "rejections": rejections,
-        }
-        if mxi_cap < float(mxi_grid.min()):
-            certificate["max_M_xi_allowed_above_threshold"] = mxi_cap
-            certificate["mxi_grid_floor"] = float(mxi_grid.min())
-            certificate["detail"] = (
-                "the xi_minus window (minus_floor, r*M_xi/2] is nonempty only "
-                f"for r > {r_threshold!r}, and for every grid r above that "
-                f"threshold the r-cap forces M_xi <= {mxi_cap!r}, below the "
-                f"smallest grid value {float(mxi_grid.min())!r}")
-        else:
-            certificate["detail"] = (
-                "every surveyed (r, M_xi) pair fails the r cap or has an "
-                "empty xi_minus window (minus_floor, r*M_xi/2]")
+        mxi_floor = float(mxi_grid.min())
+        extra = {"rejections": rejections}  # listed first; keeps its place below
+        detail = ("every surveyed (r, M_xi) pair fails the r cap or has an "
+                  f"empty {window}")
+        if mxi_cap < mxi_floor:
+            extra.update(max_M_xi_allowed_above_threshold=mxi_cap,
+                         mxi_grid_floor=mxi_floor)
+            detail = (f"the {window} is nonempty only for r > {r_threshold!r}, and for"
+                      " every grid r above that threshold the r-cap forces M_xi <= "
+                      f"{mxi_cap!r}, below the smallest grid value {mxi_floor!r}")
+    certificate = {"binding_constraint": binding, "r_threshold": float(r_threshold),
+                   **extra, "detail": detail, "rejections": rejections}
     return SynthesisResult(params=None, certificate=certificate, search=search)

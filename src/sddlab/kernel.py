@@ -62,12 +62,9 @@ class KernelSpec:
         if np.any(xn > 0.0):
             raise ContractViolation("xi_minus must be <= 0 at every node")
         half = self.M_xi / 2.0
-        if np.abs(xp).max() > half:
-            raise CapViolation(
-                f"sup|xi_plus| <= M_xi/2 violated: {np.abs(xp).max()!r} > {half!r}")
-        if np.abs(xn).max() > half:
-            raise CapViolation(
-                f"sup|xi_minus| <= M_xi/2 violated: {np.abs(xn).max()!r} > {half!r}")
+        for name, arr in (("xi_plus", xp), ("xi_minus", xn)):
+            if (sup := np.abs(arr).max()) > half:
+                raise CapViolation(f"sup|{name}| <= M_xi/2 violated: {sup!r} > {half!r}")
         object.__setattr__(self, "xi_plus", xp)
         object.__setattr__(self, "xi_minus", xn)
 
@@ -86,12 +83,9 @@ def make_constant_kernel(r: float, m: int, plus_integral: float,
     half = require_real("M_xi", M_xi) / 2.0
     cp = plus_integral / r
     cn = minus_integral / r
-    if cp > half:
-        raise CapViolation(
-            f"plus_integral/r <= M_xi/2 violated: {cp!r} > {half!r}")
-    if cn > half:
-        raise CapViolation(
-            f"minus_integral/r <= M_xi/2 violated: {cn!r} > {half!r}")
+    for name, level in (("plus_integral", cp), ("minus_integral", cn)):
+        if level > half:
+            raise CapViolation(f"{name}/r <= M_xi/2 violated: {level!r} > {half!r}")
     return KernelSpec(r=r, m=m,
                       xi_plus=np.full(m + 1, cp),
                       xi_minus=np.full(m + 1, -cn),

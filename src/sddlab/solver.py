@@ -165,7 +165,6 @@ class TrajectoryRecord:
     times: np.ndarray
     min_overall: float
     max_overall: float
-    stride: int
     fields: Optional[np.ndarray] = None
 
 
@@ -264,5 +263,5 @@ def evolve(problem: ProblemSpec, phis: Sequence[HistorySegment], steps: int,
 
     return [TrajectoryRecord(
         times=np.asarray(times), min_overall=float(min_overall[i]),
-        max_overall=float(max_overall[i]), stride=stride, fields=fields[i])
+        max_overall=float(max_overall[i]), fields=fields[i])
         for i in range(len(phis))]

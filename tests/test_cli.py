@@ -65,6 +65,16 @@ def test_check_headline_verdict(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+def test_check_pim_dynamics_is_pim_only(capsys):
+    # the bundled config whose positive solutions do not decay: the plus
+    # branch passes bound3 with room, the full kernel misses it
+    assert main(["check", str(CONFIGS / "pim_dynamics.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "PIM_only"
+    assert round(report["M1_p"] / report["bound3"], 4) == 0.8153
+    assert round(report["M1_full"] / report["bound3"], 4) == 1.0257
+
+
 def test_check_csv_format(tmp_path, capsys):
     cfg = write_cfg(tmp_path, headline_dict())
     assert main(["check", cfg, "--format", "csv"]) == 0

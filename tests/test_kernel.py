@@ -21,11 +21,23 @@ def test_make_constant_kernel_levels(headline_kernel):
     assert headline_kernel.M_xi == 8e-4
 
 
+def _message(exc_type, build) -> str:
+    with pytest.raises(exc_type) as err:
+        build()
+    return str(err.value)
+
+
 def test_make_constant_kernel_cap_errors():
-    with pytest.raises(CapViolation, match=r"plus_integral/r <= M_xi/2"):
-        s.make_constant_kernel(0.1, 50, 0.03, 0.02, 0.5)
-    with pytest.raises(CapViolation, match=r"minus_integral/r <= M_xi/2"):
-        s.make_constant_kernel(0.1, 50, 0.01, 0.05, 0.5)
+    assert _message(CapViolation, lambda: s.make_constant_kernel(
+        0.1, 50, 0.03, 0.02, 0.5)) == "plus_integral/r <= M_xi/2 violated: 0.3 > 0.25"
+    assert _message(CapViolation, lambda: s.make_constant_kernel(
+        0.1, 50, 0.01, 0.05, 0.5)) == "minus_integral/r <= M_xi/2 violated: 0.5 > 0.25"
+    # two faults: plus is checked before minus, and a sign before either cap
+    assert _message(CapViolation, lambda: s.make_constant_kernel(
+        0.1, 50, 0.03, 0.05, 0.5)) == "plus_integral/r <= M_xi/2 violated: 0.3 > 0.25"
+    assert _message(ContractViolation, lambda: s.make_constant_kernel(
+        0.1, 50, 0.03, -0.05, 0.5)) == ("minus_integral must be a real number, "
+                                        "finite and >= 0")
     with pytest.raises(ContractViolation):
         s.make_constant_kernel(0.1, 50, -0.01, 0.0, 0.5)
     with pytest.raises(ContractViolation):
@@ -36,15 +48,25 @@ def test_kernel_spec_sign_and_cap_contracts():
     m = 4
     ok_plus = np.full(m + 1, 0.2)
     ok_minus = np.full(m + 1, -0.2)
+    # the sup is a numpy float, so the message holds numpy's repr of it
+    sup = repr(np.float64(0.2))
     with pytest.raises(ContractViolation, match="xi_plus must be >= 0"):
         s.KernelSpec(r=1.0, m=m, xi_plus=-ok_plus, xi_minus=ok_minus, M_xi=1.0)
     with pytest.raises(ContractViolation, match="xi_minus must be <= 0"):
         s.KernelSpec(r=1.0, m=m, xi_plus=ok_plus, xi_minus=-ok_minus, M_xi=1.0)
-    with pytest.raises(CapViolation, match=r"sup\|xi_plus\| <= M_xi/2"):
-        s.KernelSpec(r=1.0, m=m, xi_plus=ok_plus, xi_minus=ok_minus, M_xi=0.3)
-    with pytest.raises(CapViolation, match=r"sup\|xi_minus\| <= M_xi/2"):
-        s.KernelSpec(r=1.0, m=m, xi_plus=0.1 * ok_plus, xi_minus=ok_minus,
-                     M_xi=0.3)
+    # both sups exceed the cap: plus is checked first
+    assert _message(CapViolation, lambda: s.KernelSpec(
+        r=1.0, m=m, xi_plus=ok_plus, xi_minus=ok_minus, M_xi=0.3)) == (
+        f"sup|xi_plus| <= M_xi/2 violated: {sup} > 0.15")
+    assert _message(CapViolation, lambda: s.KernelSpec(
+        r=1.0, m=m, xi_plus=0.1 * ok_plus, xi_minus=ok_minus, M_xi=0.3)) == (
+        f"sup|xi_minus| <= M_xi/2 violated: {sup} > 0.15")
+    # two faults: a sign of either profile is checked before either cap
+    for plus, minus, message in (
+            (ok_plus, -ok_minus, "xi_minus must be <= 0 at every node"),
+            (-ok_plus, ok_minus, "xi_plus must be >= 0 at every node")):
+        assert _message(ContractViolation, lambda: s.KernelSpec(
+            r=1.0, m=m, xi_plus=plus, xi_minus=minus, M_xi=0.3)) == message
     with pytest.raises(ContractViolation):
         s.KernelSpec(r=1.0, m=m, xi_plus=ok_plus[:3], xi_minus=ok_minus, M_xi=1.0)
     with pytest.raises(ContractViolation):

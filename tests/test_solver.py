@@ -3,11 +3,13 @@ dissipativity, and failure signaling."""
 
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sddlab as s
+from sddlab.cli import build_problem, load_config
 from sddlab.errors import ContractViolation, GridMismatch, IntegrationFailure
 from sddlab.kernel import gates, sign_masses
 from sddlab.nonlinear import b_eval
@@ -15,6 +17,8 @@ from sddlab.solver import _Engine
 from sddlab.spectral import full_discrete_eigenvalues
 
 from reference import delay_term, reference_states
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def zero_kernel(r, m, M_xi=1e-3):
@@ -309,7 +313,7 @@ def test_evolve_sampling_layout(headline_problem, op_headline):
     [rec] = s.evolve(prob, [phi], 25, stride=10)
     # samples at steps 0, 10, 20, and the final step 25
     assert np.allclose(rec.times, [0.0, 0.1, 0.2, 0.25], rtol=1e-12)
-    assert rec.fields is None and rec.stride == 10
+    assert rec.fields is None
     recs = s.evolve(prob, [phi, phi], 25, stride=10, record_fields=True)
     assert [r.fields.shape for r in recs] == [(4, op_headline.grid_points)] * 2
     assert np.array_equal(recs[0].fields[0], phi.values[-1])
@@ -382,6 +386,23 @@ def test_dissipativity_absorbing_bound_headline(headline_problem, op_headline, n
     decay = np.exp(-lam1 * rec.times)
     envelope = decay * full_norm[0] + c_f * (1.0 - decay) / lam1
     assert np.all(full_norm <= envelope * (1 + 1e-9))
+
+
+def test_pim_dynamics_positive_sine_does_not_decay():
+    # on configs/pim_dynamics.json the delay forcing lifts positive data:
+    # amplitude 0.5 grows over t = 2500.05, where linear decay at lam_hat_1
+    # would leave 0.26982
+    problem = build_problem(load_config(str(CONFIGS / "pim_dynamics.json")))
+    op = problem.operator
+    sine = s.GridField(0.5 * np.sin(np.pi * op.nodes() / op.domain_length))
+    phi = s.constant_history(op, problem.r, problem.m, sine)
+    [rec] = s.evolve(problem, [phi], 16667, stride=16667, record_fields=True)
+    assert rec.times[-1] == pytest.approx(2500.05, rel=1e-12)
+    sup = float(rec.fields[-1].max())
+    linear = 0.5 * float(np.exp(-full_discrete_eigenvalues(op)[0] * rec.times[-1]))
+    assert sup == pytest.approx(0.55357, abs=5e-6)
+    assert linear == pytest.approx(0.26982, abs=5e-6)
+    assert sup > linear
 
 
 def test_dissipativity_pi_domain_reaches_radius(pi_problem, op_pi, nl):
