@@ -332,7 +332,7 @@ def _pair_scalars(problem: ProblemSpec, pairs: np.ndarray,
     P = pairs.shape[1]
     both = pairs.reshape(2 * P, *pairs.shape[2:])
     work = scratch[:, :2 * P]
-    g = gates(tw, sign_masses(both, op.h_x, scratch=work[0]))
+    g = gates(tw, sign_masses(both, op.h_x, scratch=work))
     delta = pairs[0] - pairs[1]
     dC = _snapshot_l2(delta, op.h_x).max(axis=-1)
     d11 = _theta_dot(tw, _snapshot_l1(delta, op.h_x))

@@ -95,24 +95,29 @@ def make_constant_kernel(r: float, m: int, plus_integral: float,
 def sign_masses(values: np.ndarray, h_x: float,
                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Per-snapshot masses int v_plus dx and int (-v_minus) dx along the last
-    axis, stacked on a new first axis of length 2.  ``scratch``, a contiguous
-    array of the shape of ``values``, takes the clipped values in place of
-    fresh temporaries; the bits are the same.
+    axis, stacked on a new first axis of length 2.  Both clipped parts go
+    into one ``(2,) + values.shape`` array, ``scratch`` if given (each of its
+    two planes contiguous), and one sum reduces them, each row with the bits
+    of its own sum.
 
     These expressions fix the bits of the solver's gates, so the solver's
     rolling caches, the Lipschitz sampler and the serial ``eval_xi`` oracle
     in tests/reference.py all call this function.
     """
-    plus = np.maximum(values, 0.0, out=scratch).sum(axis=-1)
-    minus = np.negative(np.minimum(values, 0.0, out=scratch), out=scratch).sum(axis=-1)
-    return h_x * np.array([plus, minus])
+    if scratch is None:
+        scratch = np.empty((2,) + values.shape)
+    np.maximum(values, 0.0, out=scratch[0])
+    np.negative(np.minimum(values, 0.0, out=scratch[1]), out=scratch[1])
+    return h_x * scratch.sum(axis=-1)
 
 
-def gates(tw: np.ndarray, masses: np.ndarray) -> np.ndarray:
+def gates(tw: np.ndarray, masses: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Clipped gates (s_plus, s_minus) = min(||v_pm||_L1L1, 1) from the
     trapezoid weights and the (2, ..., m+1) sign masses; the gates have shape
-    (2, ...), each with the bits of one window's gate; a NaN mass clips to 1."""
-    return np.fmin(_theta_dot(tw, masses), 1.0)
+    (2, ...), each with the bits of one window's gate, written into ``out``
+    if given; a NaN mass clips to 1."""
+    return np.fmin(_theta_dot(tw, masses), 1.0, out=out)
 
 
 def combine_profiles(spec: KernelSpec, s_plus, s_minus,

@@ -13,6 +13,7 @@ with F the delay forcing frozen at the step start.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -69,7 +70,9 @@ class _Engine:
     transforms both in place, plus mirror rings of 2(m+1) slots for the
     per-snapshot b values and sign masses the forcing needs.  A new snapshot
     goes to slots ``head`` and ``head + m + 1``, so slots
-    ``head:head + m + 1`` always hold the window, oldest first."""
+    ``head:head + m + 1`` always hold the window, oldest first.  The views
+    of the windows and slots of every head, of every run of one variant and
+    the step's buffers are made once, here."""
 
     def __init__(self, problem: ProblemSpec, phis: Sequence[HistorySegment],
                  variants: Optional[Sequence[KernelVariant]] = None):
@@ -79,27 +82,33 @@ class _Engine:
             variants = [problem.variant] * len(phis)
         if len(variants) != len(phis):
             raise ContractViolation("variants must name one variant per history")
-        # rows by variant; a contiguous group is a slice, which indexes
-        # without a copy
-        groups = {}
-        for i, variant in enumerate(variants):
-            groups.setdefault(_as_variant(variant), []).append(i)
-        self.groups = [(variant, slice(rows[0], rows[-1] + 1)
-                        if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows))
-                       for variant, rows in groups.items()]
-        op, m = problem.operator, problem.m
+        op, m, B = problem.operator, problem.m, len(phis)
         self.problem = problem
         self.tw = theta_weights(problem.r, m)
-        self.buf = np.empty((2, len(phis), op.grid_points))
-        self.u = self.buf[0]
-        self.xi = np.empty((len(phis), m + 1))
+        self.buf = np.empty((2, B, op.grid_points))
+        self.u, self.f = self.buf
+        self.f_rows = self.f[:, None]  # the (B, 1, n_x) out of the matmul
+        # every row's xi, then tw * xi in place: the (1, m+1) left factor of
+        # its matmul
+        self.xi = np.empty((B, 1, m + 1))
+        self.gate_buf = np.empty((2, B))  # (s_plus, s_minus) of every row
+        self.mass_scratch = np.empty((2, B, op.grid_points))
+        # maximal runs of one variant, each a slice with its rows of xi and
+        # of the gates
+        self.runs = []
+        start = 0
+        for variant, run in itertools.groupby(map(_as_variant, variants)):
+            rows = slice(start, start := start + len(list(run)))
+            self.runs.append((variant, rows, self.xi[rows, 0],
+                              self.gate_buf[0, rows, None],
+                              self.gate_buf[1, rows, None]))
         # the rings are filled in place, one history at a time, each
         # history's b values and masses into both mirror halves at once: no
         # stack of the histories and no temporary the size of a ring
-        self.b_rows = np.empty((len(phis), 2 * (m + 1), op.grid_points))
-        self.masses = np.empty((2, len(phis), 2 * (m + 1)))
-        b_halves = self.b_rows.reshape(len(phis), 2, m + 1, op.grid_points)
-        mass_halves = self.masses.reshape(2, len(phis), 2, m + 1)
+        self.b_rows = np.empty((B, 2 * (m + 1), op.grid_points))
+        self.masses = np.empty((2, B, 2 * (m + 1)))
+        b_halves = self.b_rows.reshape(B, 2, m + 1, op.grid_points)
+        mass_halves = self.masses.reshape(2, B, 2, m + 1)
         for i, phi in enumerate(phis):
             if phi.operator != problem.operator:
                 raise GridMismatch("initial history uses a different operator grid")
@@ -112,27 +121,30 @@ class _Engine:
             with np.errstate(over="ignore", invalid="ignore"):
                 b_halves[i] = b_eval(problem.nonlinearity, phi.values)
             mass_halves[:, i] = sign_masses(phi.values, op.h_x)[:, None]
+        # per ring head: the b and mass windows, and the b and mass mirror
+        # slots the new snapshot goes to
+        self.ring = [(self.b_rows[:, head:head + m + 1],
+                      self.masses[..., head:head + m + 1],
+                      self.b_rows[:, head::m + 1], self.masses[..., head::m + 1])
+                     for head in range(m + 1)]
         self.head = 0
         lam = full_discrete_eigenvalues(op)
         h = problem.h
-        self.E = np.exp(-lam * h)
-        self.G = -np.expm1(-lam * h) / lam
+        # the propagator factors of row 0 (E) and row 1 (G) of the buffer
+        self.EG = np.stack([np.exp(-lam * h), -np.expm1(-lam * h) / lam])[:, None]
 
     def forcing(self) -> np.ndarray:
         """Write the (B, n_x) delay forcing of the current windows into row 1
         of the buffer and return it.  Each row is a (1, m+1) @ (m+1, n_x)
         matmul, the product the serial ``delay_term`` oracle in
         tests/reference.py takes, with the xi of its own variant: one
-        ``combine_profiles`` call per group."""
-        win = slice(self.head, self.head + self.problem.m + 1)
-        s_plus, s_minus = gates(self.tw, self.masses[..., win])[..., None]
-        for variant, rows in self.groups:
-            self.xi[rows] = combine_profiles(self.problem.kernel, s_plus[rows],
-                                             s_minus[rows], variant)
-        f = self.buf[1]
-        np.matmul((self.tw * self.xi)[:, None, :], self.b_rows[:, win],
-                  out=f[:, None, :])
-        return f
+        ``combine_profiles`` call per run of one variant."""
+        b_win, mass_win, _, _ = self.ring[self.head]
+        gates(self.tw, mass_win, out=self.gate_buf)
+        for variant, _, xi, s_plus, s_minus in self.runs:
+            xi[...] = combine_profiles(self.problem.kernel, s_plus, s_minus, variant)
+        np.matmul(np.multiply(self.tw, self.xi, out=self.xi), b_win, out=self.f_rows)
+        return self.f
 
     def advance(self) -> np.ndarray:
         """Step every row once and return the new current rows, row 0 of the
@@ -140,16 +152,15 @@ class _Engine:
         checks finiteness."""
         self.forcing()
         # in place: pocketfft reads each line before it writes it
-        a, f = dst(self.buf, out=self.buf)
-        a *= self.E
-        f *= self.G
-        a += f
-        idst(a, out=self.u)
+        np.multiply(dst(self.buf, out=self.buf), self.EG, out=self.buf)
+        self.u += self.f
+        idst(self.u, out=self.u)
         # the new snapshot replaces the oldest one, in both mirror slots
-        slots = slice(self.head, None, self.problem.m + 1)
-        self.b_rows[:, slots] = b_eval(self.problem.nonlinearity, self.u)[:, None]
-        self.masses[..., slots] = sign_masses(self.u, self.problem.operator.h_x)[..., None]
-        self.head = (self.head + 1) % (self.problem.m + 1)
+        _, _, b_slots, mass_slots = self.ring[self.head]
+        b_slots[...] = b_eval(self.problem.nonlinearity, self.u)[:, None]
+        mass_slots[...] = sign_masses(self.u, self.problem.operator.h_x,
+                                      scratch=self.mass_scratch)[..., None]
+        self.head = (self.head + 1) % len(self.ring)
         return self.u
 
 

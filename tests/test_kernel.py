@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sddlab as s
 from sddlab.errors import CapViolation, ContractViolation, GridMismatch
-from sddlab.kernel import gates
+from sddlab.kernel import gates, sign_masses
 
 from conftest import random_history
 from reference import eval_xi, norm_L1L1
@@ -155,6 +155,38 @@ def test_sup_cap_invariant(headline_kernel, op_headline):
         v = random_history(op_headline, 0.5, 50, rng, scale=rng.uniform(0.01, 5.0))
         xi = eval_xi(headline_kernel, v)
         assert float(np.abs(xi).max()) <= headline_kernel.M_xi * (1 + 1e-12)
+
+
+def two_sum_masses(values, h_x):
+    """The masses as two separate sums, written out here so that the bits of
+    sign_masses' one stacked sum are checked against code it does not share."""
+    plus = np.maximum(values, 0.0).sum(axis=-1)
+    minus = np.negative(np.minimum(values, 0.0)).sum(axis=-1)
+    return h_x * np.array([plus, minus])
+
+
+def test_sign_masses_bits_match_two_sums(op_headline):
+    # signed data over 13 decades with exact zeros, -0.0, +-inf and NaN, some
+    # rows free of the non-finite values; without scratch, with a (2,) + shape
+    # one, and with one whose planes are not adjacent (a slice of a larger
+    # buffer, as the Lipschitz sampler's last chunk passes it)
+    rng = np.random.default_rng(27)
+    h_x = op_headline.h_x
+    for shape in ((131,), (9, 128), (3, 2, 51, 64)):
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-7, 7, size=shape)
+        rows = v.reshape(-1, shape[-1])
+        rows[:, ::5] = 0.0
+        rows[:, 1::7] = -0.0
+        for row in rows[::2]:
+            row[rng.choice(shape[-1], size=3, replace=False)] = np.inf, -np.inf, np.nan
+        expected = two_sum_masses(v, h_x)
+        assert np.isnan(expected).any()
+        assert v.ndim == 1 or np.isfinite(expected).any()
+        larger = np.empty((2, shape[0] + 3) + shape[1:])
+        for scratch in (None, np.empty((2,) + shape), larger[:, :shape[0]]):
+            masses = sign_masses(v, h_x, scratch=scratch)
+            assert masses.shape == expected.shape
+            assert masses.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -286,6 +286,28 @@ def test_mixed_variants_bitwise(pi_problem):
         s.evolve(pi_problem, phis, 1, variants=["both"] * 6)
 
 
+def test_engine_steps_runs_of_one_variant(pi_problem, op_pi):
+    # the rows form maximal runs of one variant, each a slice, and after a
+    # step the gate buffer holds the gates of the windows it started from,
+    # through two turns of the ring
+    V = s.KernelVariant
+    ks = pi_problem.kernel
+    tw = s.theta_weights(ks.r, ks.m)
+    phis = signed_histories(pi_problem, 6, 80)
+    for variants, runs in (
+            ([V.N, V.FULL, V.P, V.FULL, V.N], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+            ([V.FULL] * 3 + [V.P] * 3, [(0, 3), (3, 6)])):
+        eng = _Engine(pi_problem, phis[:len(variants)], variants)
+        assert [(variant, rows) for variant, rows, *_ in eng.runs] == [
+            (variants[start], slice(start, stop)) for start, stop in runs]
+        windows = np.stack([phi.values for phi in phis[:len(variants)]])
+        for _ in range(2 * (ks.m + 1) + 1):
+            expected = gates(tw, sign_masses(windows, op_pi.h_x))
+            u = eng.advance()
+            assert eng.gate_buf.tobytes() == expected.tobytes()
+            windows = np.concatenate([windows[:, 1:], u[:, None]], axis=1)
+
+
 def test_evolve_rejects_non_finite_history(pi_problem, op_pi):
     phis = [s.constant_history(op_pi, 0.1, 50, c) for c in (1.0, 2.0, 3.0)]
     phis[2] = s.constant_history(op_pi, 0.1, 50, np.nan)
